@@ -1,0 +1,5 @@
+"""Seed-deterministic benchmark of the explained-read serving path.
+
+Run one workload with ``python3 perfbench/run.py --workload NAME --seed N
+--seconds S --trace 0|1`` from the repository root; see ``README.md``.
+"""
