@@ -563,8 +563,10 @@ def _run_metrics_workload(
         session.accept()
 
     if chaos_rate > 0.0:
+        # Faults roll once per pool pass, so the segment serves every
+        # user: enough passes that the seeded plan injects faults.
         world, pipeline = _build_resilient_pipeline(chaos_rate, chaos_seed)
-        for user_id in list(world.dataset.users)[:5]:
+        for user_id in world.dataset.users:
             pipeline.recommend(user_id, n=3)
 
     # A short serving segment so the queue/shed/inflight series are

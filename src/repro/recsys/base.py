@@ -13,14 +13,14 @@ records; they never re-derive reasons of their own.
 from __future__ import annotations
 
 import abc
-import functools
-import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro import obs
 from repro.errors import NotFittedError, PredictionImpossibleError
-from repro.recsys.data import Dataset
+from repro.recsys.data import Dataset, RatingMatrix
 
 __all__ = [
     "Evidence",
@@ -38,6 +38,7 @@ __all__ = [
     "PopularityEvidence",
     "ProfileAttributeEvidence",
     "Prediction",
+    "PoolScores",
     "Recommendation",
     "Recommender",
 ]
@@ -347,72 +348,53 @@ class Recommendation:
         return self.prediction.confidence
 
 
-def _instrument_predict(predict: Callable) -> Callable:
-    """Wrap a concrete ``predict`` with per-substrate metrics.
+@dataclass
+class PoolScores:
+    """One pool pass over a candidate column array.
 
-    Applied automatically by :meth:`Recommender.__init_subclass__`, so
-    every substrate is counted and timed without editing any of them.
-    Successes, impossibilities and latency all land in the global
-    registry under a ``substrate`` label; the wrapper adds two clock
-    reads and three dict operations per call, and never emits trace
-    events of its own (per-prediction spans would swamp the sink).
+    ``values``/``confidences``/``ok`` align with the ``cols`` the pool
+    was scored for; entries with ``ok`` false have no personalised
+    prediction (the batch analogue of
+    :class:`~repro.errors.PredictionImpossibleError`).  ``context``
+    carries what :meth:`Recommender.evidence_for` needs for the few
+    entries that survive ranking: batch intermediates (neighbor
+    segments, factor contributions, keyword tables) for the numpy
+    substrates, the per-item predictions for scalar ones.  A
+    ``context["error"]``, when set, is the error behind the entries
+    left not ``ok``; a one-column ``predict`` chains it.
     """
 
-    @functools.wraps(predict)
-    def wrapper(self: "Recommender", user_id: str, item_id: str) -> Prediction:
-        registry = obs.get_registry()
-        substrate = type(self).__name__
-        start = time.perf_counter()
-        try:
-            prediction = predict(self, user_id, item_id)
-        except PredictionImpossibleError:
-            registry.counter(
-                "repro_prediction_failures_total",
-                "Predictions that raised PredictionImpossibleError.",
-                labelnames=("substrate",),
-            ).inc(substrate=substrate)
-            raise
-        registry.histogram(
-            "repro_predict_seconds",
-            "Latency of Recommender.predict per substrate.",
-            labelnames=("substrate",),
-        ).labels(substrate=substrate).observe(time.perf_counter() - start)
-        registry.counter(
-            "repro_predictions_total",
-            "Successful Recommender.predict calls per substrate.",
-            labelnames=("substrate",),
-        ).inc(substrate=substrate)
-        return prediction
-
-    wrapper._repro_obs_wrapped = True  # type: ignore[attr-defined]
-    return wrapper
+    cols: np.ndarray
+    values: np.ndarray
+    confidences: np.ndarray
+    ok: np.ndarray
+    context: dict = field(default_factory=dict)
 
 
 class Recommender(abc.ABC):
     """Abstract base for all recommender substrates.
 
-    Subclasses implement :meth:`fit` and :meth:`predict`; the default
-    :meth:`recommend` ranks candidate items by predicted value.  Items the
-    user already rated are excluded unless ``exclude_rated=False`` —
-    except that an *affirming* recommender personality may deliberately
-    re-surface known items (see :mod:`repro.presentation.personality`).
+    One primitive scores: :meth:`score_pool` scores a whole candidate
+    pool for one user, and :meth:`evidence_for` turns a scored entry
+    into evidence.  :meth:`predict_many`, :meth:`recommend` and
+    :meth:`recommend_many` are derived from that pair here, once, for
+    every recommender.  Scalar substrates implement :meth:`predict`
+    and inherit a per-item adapter as their pool pass; the numpy
+    substrates (:class:`~repro.recsys.engine.VectorRecommender`)
+    implement the pass itself.  Items the user already rated are
+    excluded unless ``exclude_rated=False`` — except that an
+    *affirming* recommender personality may deliberately re-surface
+    known items (see :mod:`repro.presentation.personality`).
 
     Every substrate is observable for free: ``fit`` and ``recommend``
     run inside ``recsys.fit`` / ``recsys.recommend`` spans with
-    per-substrate latency histograms, and each concrete ``predict`` is
-    wrapped with success/failure counters at subclass creation time.
+    per-substrate latency histograms, and every pool pass is counted
+    and timed under the substrate that scored it.
     """
 
     def __init__(self) -> None:
         self._dataset: Dataset | None = None
-
-    def __init_subclass__(cls, **kwargs: object) -> None:
-        super().__init_subclass__(**kwargs)
-        predict = cls.__dict__.get("predict")
-        if predict is not None and not getattr(
-            predict, "_repro_obs_wrapped", False
-        ):
-            cls.predict = _instrument_predict(predict)  # type: ignore[method-assign]
+        self._engine_matrix: RatingMatrix | None = None
 
     @property
     def dataset(self) -> Dataset:
@@ -449,6 +431,30 @@ class Recommender(abc.ABC):
     def _fit(self, dataset: Dataset) -> None:
         """Subclass hook: build model state from the dataset."""
 
+    # -- snapshot tracking -------------------------------------------------
+
+    def _matrix(self, snapshot: RatingMatrix | None = None) -> RatingMatrix:
+        """The rating-matrix snapshot (current by default), caches refreshed.
+
+        Model state derived from the rating relation is keyed to one
+        snapshot: when ``snapshot`` is not the one last seen,
+        :meth:`_on_matrix_change` drops what was derived from the old
+        one, so absorbed interaction events are visible on the next
+        pass exactly as a full refit would make them.
+        """
+        dataset = self.dataset  # raises NotFittedError before fit
+        if snapshot is None:
+            snapshot = dataset.rating_matrix()
+        if snapshot is not self._engine_matrix:
+            self._engine_matrix = snapshot
+            self._on_matrix_change(snapshot)
+        return snapshot
+
+    def _on_matrix_change(self, matrix: RatingMatrix) -> None:
+        """Subclass hook: drop caches derived from an older snapshot."""
+
+    # -- the scoring primitive ---------------------------------------------
+
     @abc.abstractmethod
     def predict(self, user_id: str, item_id: str) -> Prediction:
         """Predict the user's rating of the item, with evidence.
@@ -457,13 +463,112 @@ class Recommender(abc.ABC):
         prediction can be made.
         """
 
-    #: Error types :meth:`predict_or_default` degrades on.  The base
-    #: class absorbs only the semantic miss (no personalised prediction
+    #: Error types the derived paths degrade on.  The base class
+    #: absorbs only the semantic miss (no personalised prediction
     #: exists); resilience wrappers widen this to exhausted retries,
     #: open breakers, spent deadlines and injected faults.  An unfitted
     #: model must never appear here — there is no item mean to fall
     #: back to before ``fit``.
     degrade_on: tuple[type[BaseException], ...] = (PredictionImpossibleError,)
+
+    def score_pool(
+        self, user_id: str, cols: np.ndarray, matrix: RatingMatrix
+    ) -> PoolScores:
+        """Score every candidate column for one user in a single pass.
+
+        The one scoring primitive.  It never raises for one item:
+        entries without a personalised prediction come back with
+        ``ok`` false.  Substrates implement :meth:`_score_pool`; this
+        entry point refreshes their snapshot-derived state and counts
+        and times the pass under the substrate's name.  Wrappers that
+        only delegate a pass override this method itself, so an item
+        is counted once, under the substrate that scored it.
+        """
+        self._matrix(matrix)
+        substrate = type(self).__name__
+        with obs.timed(
+            "repro_predict_seconds",
+            "Latency of one pool pass per substrate.",
+            substrate=substrate,
+        ):
+            scores = self._score_pool(user_id, cols, matrix)
+        registry = obs.get_registry()
+        scored = int(np.count_nonzero(scores.ok))
+        if scored:
+            registry.counter(
+                "repro_predictions_total",
+                "Items a substrate scored, counted per pool pass.",
+                labelnames=("substrate",),
+            ).inc(scored, substrate=substrate)
+        if scored < cols.size:
+            registry.counter(
+                "repro_prediction_failures_total",
+                "Items a substrate had no personalised prediction for.",
+                labelnames=("substrate",),
+            ).inc(cols.size - scored, substrate=substrate)
+        return scores
+
+    def _score_pool(
+        self, user_id: str, cols: np.ndarray, matrix: RatingMatrix
+    ) -> PoolScores:
+        """Per-item adapter: the pool pass of a scalar substrate.
+
+        Calls :meth:`predict` once per column.  An error in
+        :attr:`degrade_on` leaves that column not ``ok`` and keeps its
+        message for :meth:`_impossible_message`; the predictions are
+        kept for :meth:`evidence_for`.
+        """
+        size = cols.size
+        values = np.full(size, 0.0)
+        confidences = np.full(size, 0.0)
+        ok = np.full(size, False)
+        predictions: list[Prediction | None] = [None] * size
+        messages: list[str | None] = [None] * size
+        for position, item_id in enumerate(
+            map(matrix.item_ids.__getitem__, cols.tolist())
+        ):
+            try:
+                prediction = self.predict(user_id, item_id)
+            except self.degrade_on as error:
+                messages[position] = str(error)
+                continue
+            predictions[position] = prediction
+            values[position] = prediction.value
+            confidences[position] = prediction.confidence
+            ok[position] = True
+        return PoolScores(
+            cols=cols,
+            values=values,
+            confidences=confidences,
+            ok=ok,
+            context={"predictions": predictions, "messages": messages},
+        )
+
+    def evidence_for(
+        self,
+        user_id: str,
+        scores: PoolScores,
+        idx: int,
+        matrix: RatingMatrix,
+    ) -> tuple[Evidence, ...]:
+        """Evidence for the ``ok`` pool entry ``idx`` of :meth:`score_pool`.
+
+        The adapter's evidence is what its prediction carried.
+        """
+        return scores.context["predictions"][idx].evidence
+
+    def _impossible_message(
+        self, user_id: str, item_id: str, scores: PoolScores, idx: int
+    ) -> str:
+        """Why pool entry ``idx`` has no personalised prediction."""
+        messages = scores.context.get("messages")
+        if messages is not None and messages[idx] is not None:
+            return messages[idx]
+        return (
+            f"no personalised prediction for ({user_id!r}, {item_id!r})"
+        )
+
+    # -- derived surface ---------------------------------------------------
 
     def predict_or_default(self, user_id: str, item_id: str) -> Prediction:
         """Like :meth:`predict` but degrade to the item mean on failure.
@@ -479,48 +584,76 @@ class Recommender(abc.ABC):
                 value=self.dataset.item_mean(item_id), confidence=0.0
             )
 
+    def _pool_or_default(
+        self, user_id: str, cols: np.ndarray, matrix: RatingMatrix
+    ) -> tuple[PoolScores, np.ndarray]:
+        """:meth:`score_pool` and each column's value (item mean if not ok).
+
+        The pool form of :meth:`predict_or_default`: a pass failing with
+        :attr:`degrade_on` (a resilient wrapper's exhausted retries, say)
+        leaves every column to its item mean.
+        """
+        try:
+            scores = self.score_pool(user_id, cols, matrix)
+        except self.degrade_on:
+            zeros = np.full(cols.size, 0.0)
+            scores = PoolScores(cols, zeros, zeros, zeros > 0.0)
+        fallback = matrix.item_means[cols]
+        return scores, np.where(scores.ok, scores.values, fallback)
+
+    def _predictions(
+        self,
+        user_id: str,
+        scores: PoolScores,
+        values: np.ndarray,
+        picks: np.ndarray,
+        matrix: RatingMatrix,
+    ) -> list[Prediction]:
+        """Predictions for the pool entries ``picks``.
+
+        A scored entry cites its evidence; the others carry the item-mean
+        guess with zero confidence and no evidence.
+        """
+        entries = zip(
+            picks.tolist(),
+            values[picks].tolist(),
+            scores.confidences[picks].tolist(),
+            scores.ok[picks].tolist(),
+        )
+        return [
+            Prediction(
+                value=value,
+                confidence=confidence,
+                evidence=self.evidence_for(user_id, scores, idx, matrix),
+            )
+            if is_ok
+            else Prediction(value=value, confidence=0.0)
+            for idx, value, confidence, is_ok in entries
+        ]
+
     def predict_many(
         self, user_id: str, item_ids: Sequence[str]
     ) -> list[Prediction]:
         """Batched :meth:`predict_or_default` over one user's item list.
 
-        The base implementation loops; vectorized substrates
-        (:class:`~repro.recsys.engine.VectorRecommender`) override it
-        with a single batch pass.  Unknown users and items raise, as the
-        per-item path would.
+        One pool pass; entries without a personalised prediction
+        degrade to the item mean with zero confidence.  Unknown users
+        and items raise.
         """
-        self.dataset.user(user_id)
+        dataset = self.dataset
+        dataset.user(user_id)
         wanted = list(item_ids)
         for item_id in wanted:
-            self.dataset.item(item_id)
-        return [
-            self.predict_or_default(user_id, item_id)
-            for item_id in wanted
-        ]
-
-    def recommend_many(
-        self,
-        user_ids: Sequence[str],
-        n: int = 10,
-        exclude_rated: bool = True,
-        candidates: Iterable[str] | None = None,
-    ) -> list[list[Recommendation]]:
-        """Batched :meth:`recommend`, aligned with ``user_ids``.
-
-        Duplicate users cost one computation.  The base implementation
-        loops per user; vectorized substrates override it with a shared
-        span and one model snapshot for the whole batch.
-        """
-        batch = list(user_ids)
-        wanted = list(candidates) if candidates is not None else None
-        unique: dict[str, list[Recommendation]] = {}
-        for user_id in batch:
-            if user_id not in unique:
-                unique[user_id] = self.recommend(
-                    user_id, n=n, exclude_rated=exclude_rated,
-                    candidates=wanted,
-                )
-        return list(map(unique.__getitem__, batch))
+            dataset.item(item_id)
+        matrix = self._matrix()
+        if not wanted:
+            return []
+        cols = np.empty(len(wanted), dtype=np.intp)
+        cols[:] = list(map(matrix.col_of.__getitem__, wanted))
+        scores, values = self._pool_or_default(user_id, cols, matrix)
+        return self._predictions(
+            user_id, scores, values, np.arange(cols.size), matrix
+        )
 
     def recommend(
         self,
@@ -529,13 +662,12 @@ class Recommender(abc.ABC):
         exclude_rated: bool = True,
         candidates: Iterable[str] | None = None,
     ) -> list[Recommendation]:
-        """Top-``n`` recommendations for ``user_id``.
+        """Top-``n`` recommendations for ``user_id``, from one pool pass.
 
         ``candidates`` restricts the pool (e.g. to one topic); by default
         every catalogue item is considered.  Ties break on item id so the
         ranking is deterministic.
         """
-        dataset = self.dataset
         substrate = type(self).__name__
         with obs.span(
             "recsys.recommend", substrate=substrate, user=user_id, n=n
@@ -544,35 +676,93 @@ class Recommender(abc.ABC):
             "Latency of Recommender.recommend per substrate.",
             substrate=substrate,
         ):
-            if candidates is None:
-                pool: Sequence[str] = list(dataset.items)
-            else:
-                pool = [
-                    item_id for item_id in candidates
-                    if item_id in dataset.items
-                ]
-            if exclude_rated:
-                rated = set(dataset.ratings_by(user_id))
-                pool = [item_id for item_id in pool if item_id not in rated]
-            span.set("candidates", len(pool))
-
-            scored: list[tuple[float, str, Prediction]] = []
-            for item_id in pool:
-                prediction = self.predict_or_default(user_id, item_id)
-                scored.append((prediction.value, item_id, prediction))
-            scored.sort(key=lambda entry: (-entry[0], entry[1]))
-
+            results = self._recommend_one(
+                user_id, n, exclude_rated, candidates, span
+            )
             obs.get_registry().counter(
                 "repro_recommendations_total",
                 "Recommendation lists produced per substrate.",
                 labelnames=("substrate",),
             ).inc(substrate=substrate)
-            return [
-                Recommendation(
-                    item_id=item_id, score=value, rank=rank,
-                    prediction=prediction,
-                )
-                for rank, (value, item_id, prediction) in enumerate(
-                    scored[:n], start=1
-                )
+            return results
+
+    def recommend_many(
+        self,
+        user_ids: Sequence[str],
+        n: int = 10,
+        exclude_rated: bool = True,
+        candidates: Iterable[str] | None = None,
+    ) -> list[list[Recommendation]]:
+        """Batched :meth:`recommend` sharing one span and one model snapshot.
+
+        The result list aligns with ``user_ids``; duplicate users cost
+        one computation.  Each user's list is identical to what
+        :meth:`recommend` returns for that user.
+        """
+        substrate = type(self).__name__
+        batch = list(user_ids)
+        wanted = list(candidates) if candidates is not None else None
+        with obs.span(
+            "recsys.recommend_many",
+            substrate=substrate,
+            users=len(batch),
+            n=n,
+        ), obs.timed(
+            "repro_recommend_many_seconds",
+            "Latency of Recommender.recommend_many per substrate.",
+            substrate=substrate,
+        ):
+            unique: dict[str, list[Recommendation]] = {}
+            for user_id in batch:
+                if user_id not in unique:
+                    unique[user_id] = self._recommend_one(
+                        user_id, n, exclude_rated, wanted, None
+                    )
+            obs.get_registry().counter(
+                "repro_recommendations_total",
+                "Recommendation lists produced per substrate.",
+                labelnames=("substrate",),
+            ).inc(len(unique), substrate=substrate)
+            return list(map(unique.__getitem__, batch))
+
+    def _recommend_one(
+        self,
+        user_id: str,
+        n: int,
+        exclude_rated: bool,
+        candidates: Iterable[str] | None,
+        span: object,
+    ) -> list[Recommendation]:
+        """One user's ranked list: pool-score, rank, explain the top."""
+        dataset = self.dataset
+        if candidates is None:
+            pool: list[str] = list(dataset.items)
+        else:
+            wanted = candidates
+            pool = [
+                item_id for item_id in wanted if item_id in dataset.items
             ]
+        if exclude_rated:
+            rated = set(dataset.ratings_by(user_id))
+            pool = [item_id for item_id in pool if item_id not in rated]
+        if span is not None:
+            span.set("candidates", len(pool))
+        if not pool:
+            return []
+        dataset.user(user_id)
+        matrix = self._matrix()
+        cols = np.empty(len(pool), dtype=np.intp)
+        cols[:] = list(map(matrix.col_of.__getitem__, pool))
+        scores, values = self._pool_or_default(user_id, cols, matrix)
+        top = np.lexsort((matrix.item_rank[cols], -values))[:n]
+        predictions = self._predictions(user_id, scores, values, top, matrix)
+        ranked = zip(map(pool.__getitem__, top.tolist()), predictions)
+        return [
+            Recommendation(
+                item_id=item_id,
+                score=prediction.value,
+                rank=rank,
+                prediction=prediction,
+            )
+            for rank, (item_id, prediction) in enumerate(ranked, start=1)
+        ]

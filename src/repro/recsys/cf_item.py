@@ -287,7 +287,7 @@ class ItemBasedCF(VectorRecommender):
             },
         )
 
-    def _evidence_for(
+    def evidence_for(
         self,
         user_id: str,
         scores: PoolScores,

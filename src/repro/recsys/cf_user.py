@@ -10,8 +10,9 @@ The implementation runs on the vectorized engine
 (:class:`~repro.recsys.engine.VectorRecommender`): a target user's
 similarities to every overlapping candidate are computed in one masked
 ``pearson_batch``/``cosine_batch`` pass against the
-:class:`~repro.recsys.data.RatingMatrix` snapshot and cached as that
-user's *neighbor index*; a whole candidate-item pool is then scored with
+:class:`~repro.recsys.data.RatingMatrix` snapshot, and the
+positive-weight neighbours with their weights are cached as that user's
+neighbour row; a whole candidate-item pool is then scored with
 a handful of array passes (gather raters, rank by similarity, segmented
 top-k, ``bincount`` accumulation) that reproduce the per-item scalar
 path bit for bit — the parity suite in
@@ -42,8 +43,8 @@ __all__ = ["UserBasedCF"]
 #: Rating-event kinds that carry a rating write a CF model can absorb.
 _RATING_KINDS = ("rate", "re-rate", "correct-prediction", "undo", "rate-batch")
 
-#: Neighbor indexes kept before the oldest is evicted (full-length float
-#: rows; bounds memory on 100k-user worlds without changing results).
+#: Neighbour rows kept before the oldest is evicted (bounds memory on
+#: 100k-user worlds without changing results).
 _SIM_CACHE_LIMIT = 512
 
 
@@ -99,6 +100,7 @@ class UserBasedCF(VectorRecommender):
         self.confidence_gamma = max(1, confidence_gamma)
         self.neighbor_index_size = neighbor_index_size
         self._neighborhood: UserNeighborhood | None = None
+        #: Per user row: sorted positive-weight neighbour rows, weights.
         self._index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -155,32 +157,38 @@ class UserBasedCF(VectorRecommender):
     ) -> tuple[np.ndarray, np.ndarray]:
         """The user's ``(weighted_sims, overlaps)`` full-length index.
 
-        Computed in one batched similarity pass over candidates sharing
-        at least one rated item (provably the only users with non-zero
-        similarity) and cached until the rating matrix changes.
+        Computed fresh in one batched similarity pass over candidates
+        sharing at least one rated item (provably the only users with
+        non-zero similarity).  Scoring caches only the positive-weight
+        part of it.
         """
         matrix = self._matrix()
-        return self._index_row(matrix.row_of[self.dataset.user(user_id).user_id], matrix)
+        row = matrix.row_of[self.dataset.user(user_id).user_id]
+        cand, weighted, overlaps = self._similarities(row, matrix)
+        wsims = np.full(matrix.n_users, 0.0)
+        cnts = np.full(matrix.n_users, 0)
+        wsims[cand] = weighted
+        cnts[cand] = overlaps
+        return wsims, cnts
 
     def build_neighbor_index(self, user_ids: list[str] | None = None) -> int:
-        """Precompute neighbor indexes (all users by default); returns count."""
+        """Precompute neighbour rows (all users by default); returns count."""
         matrix = self._matrix()
         if user_ids is None:
             rows = list(range(matrix.n_users))
         else:
             rows = list(map(matrix.row_of.__getitem__, user_ids))
         for row in rows:
-            self._index_row(row, matrix)
+            self._neighbors(row, matrix)
         return len(rows)
 
-    def _index_row(
+    def _similarities(
         self, row: int, matrix: RatingMatrix
-    ) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._index.get(row)
-        if cached is not None:
-            return cached
-        wsims = np.full(matrix.n_users, 0.0)
-        cnts = np.full(matrix.n_users, 0)
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Candidate rows with their weighted similarities and overlaps."""
+        cand = np.full(0, 0)
+        weighted = np.full(0, 0.0)
+        overlaps = np.full(0, 0)
         ucols = matrix.user_cols(row)
         if ucols.size:
             positions, _owner = matrix.gather_ranges(matrix.i_indptr, ucols)
@@ -190,30 +198,37 @@ class UserBasedCF(VectorRecommender):
             floor = max(self.min_overlap, 1)
             cand = np.flatnonzero(corated >= floor)
             cand = cand[cand != row]
-            if cand.size:
-                cand_values, cand_mask = matrix.columns_dense(
-                    ucols, rows=cand
+        if cand.size:
+            cand_values, cand_mask = matrix.columns_dense(ucols, rows=cand)
+            sims, overlaps = self.batch_measure(
+                matrix.user_vals(row), cand_values, cand_mask
+            )
+            weighted = np.where(overlaps >= self.min_overlap, sims, 0.0)
+            if self.significance_gamma > 0:
+                weighted = weighted * (
+                    np.minimum(overlaps, self.significance_gamma)
+                    / self.significance_gamma
                 )
-                sims, overlaps = self.batch_measure(
-                    matrix.user_vals(row), cand_values, cand_mask
-                )
-                weighted = np.where(
-                    overlaps >= self.min_overlap, sims, 0.0
-                )
-                if self.significance_gamma > 0:
-                    weighted = weighted * (
-                        np.minimum(overlaps, self.significance_gamma)
-                        / self.significance_gamma
-                    )
-                limit = self.neighbor_index_size
-                if limit is not None and cand.size > limit:
-                    order = np.lexsort(
-                        (matrix.user_rank[cand], -weighted)
-                    )
-                    weighted[order[limit:]] = 0.0
-                wsims[cand] = weighted
-                cnts[cand] = overlaps
-        result = (wsims, cnts)
+            limit = self.neighbor_index_size
+            if limit is not None and cand.size > limit:
+                order = np.lexsort((matrix.user_rank[cand], -weighted))
+                weighted[order[limit:]] = 0.0
+        return cand, weighted, overlaps
+
+    def _neighbors(
+        self, row: int, matrix: RatingMatrix
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The user's positive-weight neighbour rows and weights, cached.
+
+        Only what the scorer reads is kept: the rows come back sorted,
+        and on sparse worlds they are a small share of all users.
+        """
+        cached = self._index.get(row)
+        if cached is not None:
+            return cached
+        cand, weighted, _overlaps = self._similarities(row, matrix)
+        positive = weighted > 0.0
+        result = (cand[positive], weighted[positive])
         while len(self._index) >= _SIM_CACHE_LIMIT:
             self._index.pop(next(iter(self._index)))
         self._index[row] = result
@@ -234,8 +249,7 @@ class UserBasedCF(VectorRecommender):
         so the floats match bit for bit.
         """
         row = matrix.row_of[user_id]
-        wsims, _cnts = self._index_row(row, matrix)
-        neighbors = np.flatnonzero(wsims > 0.0)
+        neighbors, neighbor_weights = self._neighbors(row, matrix)
         item_side = int(
             (matrix.i_indptr[cols + 1] - matrix.i_indptr[cols]).sum()
         )
@@ -260,15 +274,19 @@ class UserBasedCF(VectorRecommender):
             sel = np.flatnonzero(owner >= 0)
             owner = owner[sel]
             raters = neighbors[nbr_idx[sel]]
-            weights = wsims[raters]
+            weights = neighbor_weights[nbr_idx[sel]]
             ratings = matrix.u_vals[positions[sel]]
         else:
             positions, owner = matrix.gather_ranges(matrix.i_indptr, cols)
             raters = matrix.i_rows[positions]
-            weights = wsims[raters]
-            sel = np.flatnonzero((weights > 0.0) & (raters != row))
+            # Keep the raters that are positive-weight neighbours (never
+            # the user): binary search in the sorted neighbour rows.
+            slot = np.searchsorted(neighbors, raters)
+            found = slot < neighbors.size
+            found[found] = neighbors[slot[found]] == raters[found]
+            sel = np.flatnonzero(found)
             raters = raters[sel]
-            weights = weights[sel]
+            weights = neighbor_weights[slot[sel]]
             ratings = matrix.i_vals[positions[sel]]
             owner = owner[sel]
         order = np.lexsort((matrix.user_rank[raters], -weights, owner))
@@ -310,7 +328,7 @@ class UserBasedCF(VectorRecommender):
             },
         )
 
-    def _evidence_for(
+    def evidence_for(
         self,
         user_id: str,
         scores: PoolScores,

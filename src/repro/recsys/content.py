@@ -222,7 +222,7 @@ class ContentBasedRecommender(VectorRecommender):
     ) -> str:
         return f"user {user_id!r} has an empty content profile"
 
-    def _evidence_for(
+    def evidence_for(
         self,
         user_id: str,
         scores: PoolScores,

@@ -369,7 +369,9 @@ class Dataset:
     The container maintains both orientations of the rating relation
     (by user and by item) so neighbourhood computations are cheap, and
     exposes a dense numpy matrix view for vectorised similarity code.
-    Mutations bump :attr:`version`; :meth:`rating_matrix` caches one
+    Mutations bump :attr:`version` after they mutate, so a snapshot
+    built while a write is under way carries the old version and is
+    rebuilt on the next read; :meth:`rating_matrix` caches one
     contiguous :class:`RatingMatrix` snapshot per version, shared by
     every substrate fitted on this dataset.
     """
@@ -404,16 +406,18 @@ class Dataset:
 
     def add_item(self, item: Item) -> None:
         """Register an item (idempotent for identical ids)."""
-        if self._items.get(item.item_id) is not item:
-            self._version += 1
+        changed = self._items.get(item.item_id) is not item
         self._items[item.item_id] = item
+        if changed:
+            self._version += 1
 
     def add_user(self, user: User) -> None:
         """Register a user (idempotent for identical ids)."""
-        if self._users.get(user.user_id) is not user:
-            self._version += 1
+        changed = self._users.get(user.user_id) is not user
         self._users[user.user_id] = user
         self._by_user.setdefault(user.user_id, {})
+        if changed:
+            self._version += 1
 
     def add_rating(self, rating: Rating) -> None:
         """Record a rating; re-rating the same item overwrites.
@@ -430,15 +434,15 @@ class Dataset:
                 f"rating {rating.value} outside scale "
                 f"[{self.scale.minimum}, {self.scale.maximum}]"
             )
-        self._version += 1
         self._by_user.setdefault(rating.user_id, {})[rating.item_id] = rating
         self._by_item.setdefault(rating.item_id, {})[rating.user_id] = rating
+        self._version += 1
 
     def remove_rating(self, user_id: str, item_id: str) -> None:
         """Delete a rating if present (used by scrutable profile editing)."""
-        self._version += 1
         self._by_user.get(user_id, {}).pop(item_id, None)
         self._by_item.get(item_id, {}).pop(user_id, None)
+        self._version += 1
 
     def rating_matrix(self) -> RatingMatrix:
         """The cached contiguous snapshot for the current version.

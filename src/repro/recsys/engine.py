@@ -4,16 +4,15 @@
 rebuild of ``repro.recsys``: substrates implement one batched
 ``_score_pool`` hook that scores a whole candidate-column array in a
 single numpy pass against the dataset's
-:class:`~repro.recsys.data.RatingMatrix` snapshot, and the base class
-derives ``predict``, ``recommend``, ``predict_many`` and
-``recommend_many`` from it — same observability spans, same error
-messages, same tie-breaking, same fallback semantics as the scalar
-:class:`~repro.recsys.base.Recommender` paths they replace.
+:class:`~repro.recsys.data.RatingMatrix` snapshot.
+:class:`~repro.recsys.base.Recommender` derives ``predict_many``,
+``recommend`` and ``recommend_many`` from that pool pass for every
+recommender; this base adds ``predict`` as a one-column pass.
 
 Evidence is generated *after* ranking, only for the entries a caller
 actually receives, from the batch intermediates ``_score_pool`` stashes
-in :class:`PoolScores.context` — explanation generation reuses the
-batch pass instead of recomputing per item.
+in :class:`~repro.recsys.base.PoolScores` ``context`` — explanation
+generation reuses the batch pass instead of recomputing per item.
 
 The numerical contract (see ``docs/vectorization.md`` and
 ``tests/recsys/test_vectorized_parity.py``): scores match a per-item
@@ -24,43 +23,14 @@ and neighbor orderings never flip, and evidence renders byte-identically.
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
 from repro.errors import PredictionImpossibleError
-from repro.recsys.base import (
-    Evidence,
-    Prediction,
-    Recommendation,
-    Recommender,
-)
+from repro.recsys.base import Evidence, PoolScores, Prediction, Recommender
 from repro.recsys.data import RatingMatrix
 
 __all__ = ["PoolScores", "VectorRecommender", "top_k_segments"]
-
-
-@dataclass
-class PoolScores:
-    """One batch-scoring result over a candidate column array.
-
-    ``values``/``confidences``/``ok`` align with the ``cols`` the pool
-    was scored for; entries with ``ok`` false have no personalised
-    prediction (the batch analogue of
-    :class:`~repro.errors.PredictionImpossibleError`).  ``context``
-    carries substrate-specific batch intermediates (neighbor segments,
-    factor contributions, keyword tables) that
-    :meth:`VectorRecommender._evidence_for` turns into evidence for the
-    few entries that survive ranking.
-    """
-
-    cols: np.ndarray
-    values: np.ndarray
-    confidences: np.ndarray
-    ok: np.ndarray
-    context: dict = field(default_factory=dict)
 
 
 def top_k_segments(
@@ -86,57 +56,20 @@ def top_k_segments(
 
 
 class VectorRecommender(Recommender):
-    """Template base for substrates that score item pools in one pass.
+    """Template base for recommenders that score item pools in one pass.
 
-    Subclasses implement :meth:`_score_pool` (batch scoring over a
-    column array) and :meth:`_evidence_for` (evidence for one scored
-    entry, built from the batch intermediates); the base class provides
-    the full :class:`~repro.recsys.base.Recommender` surface on top,
-    replicating the scalar implementation's observable behaviour —
-    spans, counters, validation order, failure messages, ``(-score,
-    item_id)`` tie-breaking, and item-mean fallbacks — without any
-    per-item Python in the scoring path.
-
-    Model state derived from the rating relation must be keyed to the
-    :class:`~repro.recsys.data.RatingMatrix` snapshot: the base class
-    re-reads :meth:`~repro.recsys.data.Dataset.rating_matrix` before
-    every scoring call and fires :meth:`_on_matrix_change` when the
-    snapshot changed, so absorbed interaction events are visible on the
-    next prediction exactly as a full refit would make them.
+    Substrates implement ``_score_pool`` (batch scoring over a column
+    array, counted by :meth:`~repro.recsys.base.Recommender.score_pool`)
+    and :meth:`evidence_for` (evidence for one scored entry, built from
+    the batch intermediates) with no per-item Python in the scoring
+    path.  Wrappers that delegate a pass to another recommender (the
+    resilience wrappers) override ``score_pool`` itself.  Either way
+    :meth:`predict` is a one-column pass with the scalar path's
+    validation order and failure messages.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._engine_matrix: RatingMatrix | None = None
-
-    # -- snapshot tracking -------------------------------------------------
-
-    def _matrix(self) -> RatingMatrix:
-        """Current rating-matrix snapshot, refreshing derived caches."""
-        snapshot = self.dataset.rating_matrix()
-        if snapshot is not self._engine_matrix:
-            self._engine_matrix = snapshot
-            self._on_matrix_change(snapshot)
-        return snapshot
-
-    def _on_matrix_change(self, matrix: RatingMatrix) -> None:
-        """Subclass hook: drop caches derived from an older snapshot."""
-
-    # -- substrate contract ------------------------------------------------
-
     @abc.abstractmethod
-    def _score_pool(
-        self, user_id: str, cols: np.ndarray, matrix: RatingMatrix
-    ) -> PoolScores:
-        """Score every candidate column for one user in a single pass.
-
-        Never raises for per-item failures — entries without a
-        personalised prediction come back with ``ok`` false (and enough
-        ``context`` for :meth:`_impossible_message` to say why).
-        """
-
-    @abc.abstractmethod
-    def _evidence_for(
+    def evidence_for(
         self,
         user_id: str,
         scores: PoolScores,
@@ -144,16 +77,6 @@ class VectorRecommender(Recommender):
         matrix: RatingMatrix,
     ) -> tuple[Evidence, ...]:
         """Evidence tuple for pool entry ``idx``, from batch intermediates."""
-
-    def _impossible_message(
-        self, user_id: str, item_id: str, scores: PoolScores, idx: int
-    ) -> str:
-        """Failure message for a not-``ok`` entry (matches the scalar path)."""
-        return (
-            f"no personalised prediction for ({user_id!r}, {item_id!r})"
-        )
-
-    # -- Recommender surface -----------------------------------------------
 
     def predict(self, user_id: str, item_id: str) -> Prediction:
         """Single prediction via a one-column batch pass."""
@@ -163,187 +86,13 @@ class VectorRecommender(Recommender):
         matrix = self._matrix()
         cols = np.empty(1, dtype=np.intp)
         cols[0] = matrix.col_of[item_id]
-        scores = self._score_pool(user_id, cols, matrix)
+        scores = self.score_pool(user_id, cols, matrix)
         if not bool(scores.ok[0]):
             raise PredictionImpossibleError(
                 self._impossible_message(user_id, item_id, scores, 0)
-            )
+            ) from scores.context.get("error")
         return Prediction(
             value=float(scores.values[0]),
             confidence=float(scores.confidences[0]),
-            evidence=self._evidence_for(user_id, scores, 0, matrix),
+            evidence=self.evidence_for(user_id, scores, 0, matrix),
         )
-
-    def predict_many(
-        self, user_id: str, item_ids: Sequence[str]
-    ) -> list[Prediction]:
-        """Batched ``predict_or_default`` over one user's item list.
-
-        One ``_score_pool`` pass; entries without a personalised
-        prediction degrade to the item mean with zero confidence,
-        exactly like :meth:`~repro.recsys.base.Recommender.predict_or_default`.
-        """
-        dataset = self.dataset
-        dataset.user(user_id)
-        wanted = list(item_ids)
-        for item_id in wanted:
-            dataset.item(item_id)
-        matrix = self._matrix()
-        if not wanted:
-            return []
-        cols = np.empty(len(wanted), dtype=np.intp)
-        cols[:] = list(map(matrix.col_of.__getitem__, wanted))
-        scores = self._score_pool(user_id, cols, matrix)
-        fallback = matrix.item_means[cols]
-        results: list[Prediction] = []
-        rows = zip(
-            range(len(wanted)),
-            scores.ok.tolist(),
-            scores.values.tolist(),
-            scores.confidences.tolist(),
-            fallback.tolist(),
-        )
-        for idx, is_ok, value, confidence, mean in rows:
-            if is_ok:
-                results.append(
-                    Prediction(
-                        value=value,
-                        confidence=confidence,
-                        evidence=self._evidence_for(
-                            user_id, scores, idx, matrix
-                        ),
-                    )
-                )
-            else:
-                results.append(Prediction(value=mean, confidence=0.0))
-        return results
-
-    def recommend(
-        self,
-        user_id: str,
-        n: int = 10,
-        exclude_rated: bool = True,
-        candidates: Iterable[str] | None = None,
-    ) -> list[Recommendation]:
-        """Top-``n`` recommendations scored in one batch pass."""
-        substrate = type(self).__name__
-        with obs.span(
-            "recsys.recommend", substrate=substrate, user=user_id, n=n
-        ) as span, obs.timed(
-            "repro_recommend_seconds",
-            "Latency of Recommender.recommend per substrate.",
-            substrate=substrate,
-        ):
-            results = self._recommend_one(
-                user_id, n, exclude_rated, candidates, span
-            )
-            obs.get_registry().counter(
-                "repro_recommendations_total",
-                "Recommendation lists produced per substrate.",
-                labelnames=("substrate",),
-            ).inc(substrate=substrate)
-            return results
-
-    def recommend_many(
-        self,
-        user_ids: Sequence[str],
-        n: int = 10,
-        exclude_rated: bool = True,
-        candidates: Iterable[str] | None = None,
-    ) -> list[list[Recommendation]]:
-        """Batched ``recommend`` sharing one span and one model snapshot.
-
-        The result list aligns with ``user_ids``; duplicate users cost
-        one computation.  Each user's list is identical to what
-        :meth:`recommend` returns for that user.
-        """
-        substrate = type(self).__name__
-        batch = list(user_ids)
-        wanted = list(candidates) if candidates is not None else None
-        with obs.span(
-            "recsys.recommend_many",
-            substrate=substrate,
-            users=len(batch),
-            n=n,
-        ), obs.timed(
-            "repro_recommend_many_seconds",
-            "Latency of Recommender.recommend_many per substrate.",
-            substrate=substrate,
-        ):
-            unique: dict[str, list[Recommendation]] = {}
-            for user_id in batch:
-                if user_id not in unique:
-                    unique[user_id] = self._recommend_one(
-                        user_id, n, exclude_rated, wanted, None
-                    )
-            obs.get_registry().counter(
-                "repro_recommendations_total",
-                "Recommendation lists produced per substrate.",
-                labelnames=("substrate",),
-            ).inc(len(unique), substrate=substrate)
-            return list(map(unique.__getitem__, batch))
-
-    # -- core --------------------------------------------------------------
-
-    def _recommend_one(
-        self,
-        user_id: str,
-        n: int,
-        exclude_rated: bool,
-        candidates: Iterable[str] | None,
-        span: object,
-    ) -> list[Recommendation]:
-        """One user's ranked list: batch-score, rank, explain the top."""
-        dataset = self.dataset
-        if candidates is None:
-            pool: list[str] = list(dataset.items)
-        else:
-            wanted = candidates
-            pool = [
-                item_id for item_id in wanted if item_id in dataset.items
-            ]
-        if exclude_rated:
-            rated = set(dataset.ratings_by(user_id))
-            pool = [item_id for item_id in pool if item_id not in rated]
-        if span is not None:
-            span.set("candidates", len(pool))
-        if not pool:
-            return []
-        dataset.user(user_id)
-        matrix = self._matrix()
-        cols = np.empty(len(pool), dtype=np.intp)
-        cols[:] = list(map(matrix.col_of.__getitem__, pool))
-        scores = self._score_pool(user_id, cols, matrix)
-        values = np.where(scores.ok, scores.values, matrix.item_means[cols])
-        order = np.lexsort((matrix.item_rank[cols], -values))
-        top = order[:n]
-        top_entries = zip(
-            top.tolist(),
-            map(pool.__getitem__, top.tolist()),
-            values[top].tolist(),
-            scores.confidences[top].tolist(),
-            scores.ok[top].tolist(),
-        )
-        results: list[Recommendation] = []
-        rank = 0
-        for idx, item_id, value, confidence, is_ok in top_entries:
-            rank += 1
-            if is_ok:
-                prediction = Prediction(
-                    value=value,
-                    confidence=confidence,
-                    evidence=self._evidence_for(
-                        user_id, scores, idx, matrix
-                    ),
-                )
-            else:
-                prediction = Prediction(value=value, confidence=0.0)
-            results.append(
-                Recommendation(
-                    item_id=item_id,
-                    score=value,
-                    rank=rank,
-                    prediction=prediction,
-                )
-            )
-        return results

@@ -9,42 +9,25 @@ explanation can honestly draw on every contributing source (the paper's
 Section 6 classifies explanation style "regardless of the underlying
 algorithm" — the hybrid is where that distinction earns its keep).
 
-Vectorized layout: components that run on the
-:class:`~repro.recsys.engine.VectorRecommender` engine score a whole
-candidate pool in one ``_score_pool`` call each; scalar components fall
-back to per-item ``predict``.  The blend itself is a sequential pass of
-array expressions over the component results in configuration order —
-the same float accumulation order as blending each item by hand.
+Vectorized layout: every component scores the whole candidate pool in
+one ``score_pool`` call (scalar components through the per-item adapter
+they inherit from :class:`~repro.recsys.base.Recommender`).  The blend
+itself is a sequential pass of array expressions over the component
+results in configuration order — the same float accumulation order as
+blending each item by hand.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
-from repro.errors import PredictionImpossibleError
-from repro.recsys.base import Evidence, Prediction, Recommender
+from repro.recsys.base import Evidence, Recommender
 from repro.recsys.data import Dataset, RatingMatrix
 from repro.recsys.engine import PoolScores, VectorRecommender
 
 __all__ = ["HybridRecommender"]
-
-
-@dataclass
-class _ComponentScores:
-    """One component's pool results plus what evidence needs later."""
-
-    component: Recommender
-    weight: float
-    values: np.ndarray
-    confidences: np.ndarray
-    ok: np.ndarray
-    pool: PoolScores | None = None  # engine components
-    predictions: list[Prediction | None] = field(default_factory=list)
-    messages: list[str | None] = field(default_factory=list)
 
 
 class HybridRecommender(VectorRecommender):
@@ -77,55 +60,6 @@ class HybridRecommender(VectorRecommender):
         for recommender, __ in self.components:
             recommender.fit(dataset)
 
-    # -- component scoring -------------------------------------------------
-
-    def _score_component(
-        self,
-        component: Recommender,
-        weight: float,
-        user_id: str,
-        cols: np.ndarray,
-        matrix: RatingMatrix,
-    ) -> _ComponentScores:
-        if isinstance(component, VectorRecommender):
-            component._matrix()  # let the component react to dataset changes
-            pool = component._score_pool(user_id, cols, matrix)
-            return _ComponentScores(
-                component=component,
-                weight=weight,
-                values=pool.values,
-                confidences=pool.confidences,
-                ok=pool.ok,
-                pool=pool,
-            )
-        size = cols.size
-        values = np.full(size, 0.0)
-        confidences = np.full(size, 0.0)
-        ok = np.full(size, False)
-        predictions: list[Prediction | None] = [None] * size
-        messages: list[str | None] = [None] * size
-        for position, item_id in enumerate(
-            map(matrix.item_ids.__getitem__, cols.tolist())
-        ):
-            try:
-                prediction = component.predict(user_id, item_id)
-            except PredictionImpossibleError as error:
-                messages[position] = str(error)
-                continue
-            predictions[position] = prediction
-            values[position] = prediction.value
-            confidences[position] = prediction.confidence
-            ok[position] = True
-        return _ComponentScores(
-            component=component,
-            weight=weight,
-            values=values,
-            confidences=confidences,
-            ok=ok,
-            predictions=predictions,
-            messages=messages,
-        )
-
     # -- engine hooks ------------------------------------------------------
 
     def _score_pool(
@@ -134,7 +68,7 @@ class HybridRecommender(VectorRecommender):
         """Blend component predictions, weighting by weight x confidence."""
         size = cols.size
         results = [
-            self._score_component(component, weight, user_id, cols, matrix)
+            (component, weight, component.score_pool(user_id, cols, matrix))
             for component, weight in self.components
         ]
         total_mass = np.full(size, 0.0)
@@ -143,8 +77,8 @@ class HybridRecommender(VectorRecommender):
         n_ok = np.full(size, 0)
         v_max = np.full(size, -np.inf)
         v_min = np.full(size, np.inf)
-        for result in results:
-            mass = result.weight * np.maximum(result.confidences, 0.05)
+        for __, weight, result in results:
+            mass = weight * np.maximum(result.confidences, 0.05)
             total_mass = total_mass + np.where(result.ok, mass, 0.0)
             value = value + np.where(
                 result.ok, mass * result.values, 0.0
@@ -181,7 +115,7 @@ class HybridRecommender(VectorRecommender):
             context={"results": results, "n_ok": n_ok},
         )
 
-    def _evidence_for(
+    def evidence_for(
         self,
         user_id: str,
         scores: PoolScores,
@@ -190,37 +124,22 @@ class HybridRecommender(VectorRecommender):
     ) -> tuple[Evidence, ...]:
         """Concatenate evidence from every contributing component, in order."""
         evidence: list[Evidence] = []
-        for result in scores.context["results"]:
-            if not bool(result.ok[idx]):
-                continue
-            if result.pool is not None:
-                component: Any = result.component
+        for component, __, result in scores.context["results"]:
+            if bool(result.ok[idx]):
                 evidence.extend(
-                    component._evidence_for(
-                        user_id, result.pool, idx, matrix
-                    )
+                    component.evidence_for(user_id, result, idx, matrix)
                 )
-            else:
-                prediction = result.predictions[idx]
-                assert prediction is not None
-                evidence.extend(prediction.evidence)
         return tuple(evidence)
 
     def _impossible_message(
         self, user_id: str, item_id: str, scores: PoolScores, idx: int
     ) -> str:
         if self.require_all:
-            for result in scores.context["results"]:
-                if bool(result.ok[idx]):
-                    continue
-                if result.pool is not None:
-                    component: Any = result.component
+            for component, __, result in scores.context["results"]:
+                if not bool(result.ok[idx]):
                     return component._impossible_message(
-                        user_id, item_id, result.pool, idx
+                        user_id, item_id, result, idx
                     )
-                message = result.messages[idx]
-                if message is not None:
-                    return message
         return (
             f"no hybrid component could predict ({user_id!r}, "
             f"{item_id!r})"

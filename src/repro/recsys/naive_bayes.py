@@ -391,7 +391,7 @@ class NaiveBayesRecommender(VectorRecommender):
             },
         )
 
-    def _evidence_for(
+    def evidence_for(
         self,
         user_id: str,
         scores: PoolScores,

@@ -110,7 +110,7 @@ class PopularityRecommender(VectorRecommender):
             context={"counts": counts, "damped": damped, "recency": recency},
         )
 
-    def _evidence_for(
+    def evidence_for(
         self,
         user_id: str,
         scores: PoolScores,

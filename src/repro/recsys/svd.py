@@ -353,7 +353,7 @@ class SVDRecommender(VectorRecommender):
             },
         )
 
-    def _evidence_for(
+    def evidence_for(
         self,
         user_id: str,
         scores: PoolScores,

@@ -6,10 +6,10 @@ every retry policy, breaker transition and fallback decision in the
 stack can be exercised end-to-end by a *deterministic* test: the same
 seed always yields the same fault schedule.
 
-Faults default to :class:`~repro.errors.InjectedFaultError`, which plain
-``predict_or_default`` does **not** swallow — an injected fault is
-visible to every layer that has not opted into resilience, which is
-exactly what makes the chaos tests honest.
+Faults default to :class:`~repro.errors.InjectedFaultError`, which a
+plain recommender's derived paths do **not** swallow — an injected
+fault is visible to every layer that has not opted into resilience,
+which is exactly what makes the chaos tests honest.
 
 Latency is injected through an injectable ``sleep`` so tests can count
 the injected seconds without waiting for them.
@@ -20,16 +20,18 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Callable, Iterable, Mapping
-
 from pathlib import Path
+
+import numpy as np
 
 from repro import obs
 from repro.core.explainers.base import Explainer
 from repro.core.explanation import Explanation
 from repro.errors import EventLogError, InjectedFaultError
 from repro.eventlog.storage import FileStorage, SegmentHandle
-from repro.recsys.base import Prediction, Recommendation, Recommender
-from repro.recsys.data import Dataset
+from repro.recsys.base import PoolScores, Recommendation, Recommender
+from repro.recsys.data import Dataset, RatingMatrix
+from repro.resilience.fallback import _InnerWrapper
 
 __all__ = [
     "ChaosRecommender",
@@ -90,7 +92,7 @@ def _count_injection(target: str, kind: str) -> None:
     ).inc(target=target, kind=kind)
 
 
-class ChaosRecommender(Recommender):
+class ChaosRecommender(_InnerWrapper):
     """A recommender whose calls fail and stall on a seeded schedule.
 
     Parameters
@@ -104,9 +106,10 @@ class ChaosRecommender(Recommender):
     error:
         Exception *type* to raise on injected failures.
     fail_on:
-        Method names to intercept.  ``predict`` and ``recommend`` are
-        intercepted natively; any other name is intercepted through
-        attribute forwarding.
+        Method names to intercept.  ``predict`` names the pool pass —
+        one roll per :meth:`score_pool` call, which every ``predict``,
+        ``recommend`` and batch call goes through; any other name is
+        intercepted through attribute forwarding.
     latency_seconds / latency_jitter:
         Injected latency per intercepted call (``sleep`` is injectable;
         tests pass a recorder and never wait).
@@ -159,25 +162,12 @@ class ChaosRecommender(Recommender):
 
     # -- Recommender protocol --------------------------------------------
 
-    def fit(self, dataset: Dataset) -> "ChaosRecommender":
-        self.inner.fit(dataset)
-        return self
-
-    @property
-    def dataset(self) -> Dataset:
-        return self.inner.dataset
-
-    @property
-    def is_fitted(self) -> bool:
-        return self.inner.is_fitted
-
-    def predict(self, user_id: str, item_id: str) -> Prediction:
+    def score_pool(
+        self, user_id: str, cols: np.ndarray, matrix: RatingMatrix
+    ) -> PoolScores:
+        """The inner pool pass, after one fault roll named ``predict``."""
         self._maybe_inject("predict")
-        return self.inner.predict(user_id, item_id)
-
-    def recommend(self, *args: object, **kwargs: object) -> list[Recommendation]:
-        self._maybe_inject("recommend")
-        return self.inner.recommend(*args, **kwargs)
+        return self.inner.score_pool(user_id, cols, matrix)
 
     def __getattr__(self, name: str):
         # Only reached for attributes this class does not define; chaos

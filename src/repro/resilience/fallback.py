@@ -4,14 +4,18 @@ Two layers, composed freely:
 
 * :class:`ResilientRecommender` wraps **one** substrate with the
   :mod:`repro.resilience.policies` mechanisms — retry/backoff around
-  every prediction, a per-substrate circuit breaker, an optional
+  every pool pass, a per-substrate circuit breaker, an optional
   per-call deadline;
 * :class:`FallbackChain` lines up **several** substrates (typically
-  personalised first, popularity last) and degrades across them: any
-  component failure the chain classifies as degradable moves to the
-  next component, exactly the hybrid shape the survey describes
-  (collaborative evidence first, content-based when neighbours are
-  missing, non-personalised last).
+  personalised first, popularity last) and degrades across them: the
+  columns a component could not score, or all of them when it failed
+  degradably, go to the next component, exactly the hybrid shape the
+  survey describes (collaborative evidence first, content-based when
+  neighbours are missing, non-personalised last).
+
+Both wrap only the scoring primitive,
+:meth:`~repro.recsys.base.Recommender.score_pool`; ``predict``,
+``recommend`` and the batch calls derive from it as for any recommender.
 
 :class:`FallbackExplainer` does the same for explanation generation,
 ending at :class:`~repro.core.explainers.base.GenericExplainer` so an
@@ -26,6 +30,8 @@ from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import obs
 from repro.core.explainers.base import Explainer, GenericExplainer
 from repro.core.explanation import Explanation
@@ -38,8 +44,15 @@ from repro.errors import (
     ReproError,
     RetryExhaustedError,
 )
-from repro.recsys.base import Prediction, Recommendation, Recommender
-from repro.recsys.data import Dataset
+from repro.recsys.base import (
+    Evidence,
+    PoolScores,
+    Prediction,
+    Recommendation,
+    Recommender,
+)
+from repro.recsys.data import Dataset, RatingMatrix
+from repro.recsys.engine import VectorRecommender
 from repro.resilience.policies import BreakerPolicy, CircuitBreaker, Deadline, Retry
 
 __all__ = [
@@ -81,8 +94,8 @@ class DegradationTracker:
     no marker distinguishing it from a primary result — the serving
     boundary reported ``outcome="served"`` for a popularity-fallback
     answer, and caches pinned it for the full TTL.  The tracker is the
-    channel that carries "a fallback happened" out of the per-item
-    ``predict`` calls up to the batch that contains them.
+    channel that carries "a fallback happened" out of the chain's pool
+    pass up to the list that contains it.
     """
 
     events: list[tuple[str, str]] = field(default_factory=list)
@@ -124,15 +137,53 @@ def mark_degraded(substrate: str, reason: str) -> None:
         tracker.record(substrate, reason)
 
 
-def _count_fallback(substrate: str, reason: str) -> None:
+def _count_fallback(substrate: str, reason: str, items: int = 1) -> None:
     obs.get_registry().counter(
         "repro_fallbacks_total",
-        "Fallback decisions: a component failed and the next was tried.",
+        "Items a component failed on and handed to the next one.",
         labelnames=("substrate", "reason"),
-    ).inc(substrate=substrate, reason=reason)
+    ).inc(items, substrate=substrate, reason=reason)
 
 
-class ResilientRecommender(Recommender):
+class _InnerWrapper(VectorRecommender):
+    """A wrapper around one ``inner`` recommender's pool pass.
+
+    Fitting, the dataset and evidence are the inner recommender's:
+    subclasses override only :meth:`score_pool` to act around the
+    inner pass.
+    """
+
+    inner: Recommender
+
+    def fit(self, dataset: Dataset) -> "_InnerWrapper":
+        self.inner.fit(dataset)
+        return self
+
+    @property
+    def dataset(self) -> Dataset:
+        return self.inner.dataset
+
+    @property
+    def is_fitted(self) -> bool:
+        return self.inner.is_fitted
+
+    def evidence_for(
+        self,
+        user_id: str,
+        scores: PoolScores,
+        idx: int,
+        matrix: RatingMatrix,
+    ) -> tuple[Evidence, ...]:
+        """The inner recommender's evidence for its own pass."""
+        return self.inner.evidence_for(user_id, scores, idx, matrix)
+
+    def _impossible_message(
+        self, user_id: str, item_id: str, scores: PoolScores, idx: int
+    ) -> str:
+        return self.inner._impossible_message(user_id, item_id, scores, idx)
+
+
+class ResilientRecommender(_InnerWrapper):
     """One substrate under retry, breaker, and deadline policies.
 
     Parameters
@@ -140,8 +191,8 @@ class ResilientRecommender(Recommender):
     inner:
         The wrapped recommender (possibly a chaos wrapper).
     retry:
-        Retry policy applied around every protected call; ``None``
-        disables retries.
+        Retry policy applied around every protected call (one pool
+        pass, or one forwarded call); ``None`` disables retries.
     breaker:
         Either a ready :class:`CircuitBreaker` or a
         :class:`BreakerPolicy` from which one is built, keyed by the
@@ -150,7 +201,7 @@ class ResilientRecommender(Recommender):
         Per-call wall-clock budget shared across that call's retries;
         ``None`` disables the deadline.
     protect:
-        Extra method names (beyond ``predict``) guarded with the same
+        Extra method names (beyond the pool pass) guarded with the same
         policies when reached through attribute forwarding — e.g.
         ``("rank",)`` for a knowledge-based substrate driving a
         critiquing session.
@@ -228,26 +279,26 @@ class ResilientRecommender(Recommender):
 
     # -- Recommender protocol --------------------------------------------
 
-    def fit(self, dataset: Dataset) -> "ResilientRecommender":
-        self.inner.fit(dataset)
-        return self
-
-    @property
-    def dataset(self) -> Dataset:
-        return self.inner.dataset
-
-    @property
-    def is_fitted(self) -> bool:
-        return self.inner.is_fitted
-
-    #: A resilient substrate's ``predict_or_default`` also degrades on
-    #: exhausted retries, open breakers, spent deadlines and injected
-    #: faults (never on :class:`~repro.errors.NotFittedError`).
+    #: A resilient substrate's derived paths also degrade on exhausted
+    #: retries, open breakers, spent deadlines and injected faults.
     degrade_on = DEGRADABLE_ERRORS
 
     def predict(self, user_id: str, item_id: str) -> Prediction:
+        """One forwarded prediction under one :meth:`guard` call."""
         return self.guard(
             lambda: self.inner.predict(user_id, item_id), "predict"
+        )
+
+    def score_pool(
+        self, user_id: str, cols: np.ndarray, matrix: RatingMatrix
+    ) -> PoolScores:
+        """The inner pool pass under one :meth:`guard` call.
+
+        A semantic miss is an entry left not ``ok``, not an error: it is
+        never retried and never counts as a breaker failure.
+        """
+        return self.guard(
+            lambda: self.inner.score_pool(user_id, cols, matrix), "predict"
         )
 
     def __getattr__(self, name: str):
@@ -261,17 +312,19 @@ class ResilientRecommender(Recommender):
         return attribute
 
 
-class FallbackChain(Recommender):
-    """Degrade predictions across an ordered list of substrates.
+class FallbackChain(VectorRecommender):
+    """Degrade scoring across an ordered list of substrates.
 
-    ``FallbackChain([cf_user, hybrid, popularity])`` asks each component
-    in turn; a component failing with one of ``degrade_on`` moves the
-    chain to the next one (counted in ``repro_fallbacks_total`` and
-    emitted as a ``resilience.fallback`` event).  When every component
-    fails, the chain raises
-    :class:`~repro.errors.PredictionImpossibleError`, so the inherited
-    ``recommend`` still fills the slot with the item-mean guess — a
-    chain's recommendation list never comes back short.
+    ``FallbackChain([cf_user, hybrid, popularity])`` scores the pool
+    with the first component and hands the next one only the columns
+    left not ``ok`` — or all of them when the call raised one of
+    ``degrade_on``.  Every hand-off is a fill: counted per column in
+    ``repro_fallbacks_total`` (a miss under the reason
+    ``PredictionImpossibleError``), emitted as a ``resilience.fallback``
+    event and marked on the ambient degradation tracker.  Each column
+    cites the evidence of the component that scored it; a column no
+    component scores falls back to the item mean, so a chain's
+    recommendation list never comes back short.
     """
 
     def __init__(
@@ -290,27 +343,81 @@ class FallbackChain(Recommender):
             component.fit(dataset)
 
     def predict(self, user_id: str, item_id: str) -> Prediction:
-        last_error: BaseException | None = None
+        """A one-column pool pass (the chain's own attribute, which
+        ``perfbench/tracing.py`` patches by name)."""
+        return super().predict(user_id, item_id)
+
+    def score_pool(
+        self, user_id: str, cols: np.ndarray, matrix: RatingMatrix
+    ) -> PoolScores:
+        """One pass per component touched, over the columns still open."""
+        size = cols.size
+        values = np.full(size, 0.0)
+        confidences = np.full(size, 0.0)
+        ok = np.full(size, False)
+        # Per column: the index into ``parts`` of the pass that scored it.
+        source = np.full(size, -1)
+        parts: list[tuple[Recommender, PoolScores, np.ndarray]] = []
+        error: BaseException | None = None
+        pending = np.arange(size)
         for component in self.components:
-            name = substrate_name(component)
+            if not pending.size:
+                break
             try:
-                return component.predict(user_id, item_id)
-            except self.degrade_on as error:
-                last_error = error
-                reason = type(error).__name__
-                _count_fallback(name, reason)
+                scores = component.score_pool(user_id, cols[pending], matrix)
+            except self.degrade_on as caught:
+                error = caught
+                reason = type(caught).__name__
+            else:
+                hit = np.flatnonzero(scores.ok)
+                scored = pending[hit]
+                values[scored] = scores.values[hit]
+                confidences[scored] = scores.confidences[hit]
+                ok[scored] = True
+                source[scored] = len(parts)
+                parts.append((component, scores, pending))
+                pending = pending[~scores.ok]
+                reason = "PredictionImpossibleError"
+            if pending.size:
+                name = substrate_name(component)
+                _count_fallback(name, reason, int(pending.size))
                 mark_degraded(name, reason)
                 obs.event(
                     "resilience.fallback",
                     substrate=name,
                     reason=reason,
                     user=user_id,
-                    item=item_id,
+                    items=int(pending.size),
                 )
-        raise PredictionImpossibleError(
+        return PoolScores(
+            cols=cols,
+            values=values,
+            confidences=confidences,
+            ok=ok,
+            context={"parts": parts, "source": source, "error": error},
+        )
+
+    def evidence_for(
+        self,
+        user_id: str,
+        scores: PoolScores,
+        idx: int,
+        matrix: RatingMatrix,
+    ) -> tuple[Evidence, ...]:
+        """The evidence of the component that scored column ``idx``."""
+        component, part, positions = scores.context["parts"][
+            int(scores.context["source"][idx])
+        ]
+        position = int(np.searchsorted(positions, idx))
+        return component.evidence_for(user_id, part, position, matrix)
+
+    def _impossible_message(
+        self, user_id: str, item_id: str, scores: PoolScores, idx: int
+    ) -> str:
+        return (
             f"all {len(self.components)} chain components failed for "
             f"({user_id!r}, {item_id!r})"
-        ) from last_error
+        )
 
 
 class FallbackExplainer(Explainer):

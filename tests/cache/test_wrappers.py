@@ -23,19 +23,17 @@ class ProbeRecommender(Recommender):
         super().__init__()
         self._calls_lock = threading.Lock()
         self.predict_calls = 0
-        self.recommend_calls = 0
+        self.pool_calls = 0
 
     def predict(self, user_id: str, item_id: str) -> Prediction:
         with self._calls_lock:
             self.predict_calls += 1
         return Prediction(value=3.0, confidence=0.9)
 
-    def recommend(self, user_id, n=10, exclude_rated=True, candidates=None):
+    def score_pool(self, user_id, cols, matrix):
         with self._calls_lock:
-            self.recommend_calls += 1
-        return super().recommend(
-            user_id, n=n, exclude_rated=exclude_rated, candidates=candidates
-        )
+            self.pool_calls += 1
+        return super().score_pool(user_id, cols, matrix)
 
 
 @dataclass
@@ -96,16 +94,16 @@ class TestCachedRecommender:
         first = cached.recommend("alice", n=3)
         second = cached.recommend("alice", n=3)
         assert first == second
-        assert inner.recommend_calls == 1
+        assert inner.pool_calls == 1
         cached.recommend("alice", n=2)  # different key -> recompute
-        assert inner.recommend_calls == 2
+        assert inner.pool_calls == 2
 
     def test_recommend_many_deduplicates_users(self, tiny_dataset):
         cached, inner = self.wrap(tiny_dataset)
         results = cached.recommend_many(
             ["alice", "bob", "alice", "bob", "alice"], n=3
         )
-        assert inner.recommend_calls == 2
+        assert inner.pool_calls == 2
         assert len(results) == 5
         assert results[0] == results[2] == results[4]
         assert results[1] == results[3]
@@ -115,7 +113,7 @@ class TestCachedRecommender:
         cached.recommend("alice", n=3)
         cached.fit(tiny_dataset)
         cached.recommend("alice", n=3)
-        assert inner.recommend_calls == 2
+        assert inner.pool_calls == 2
 
     def test_invalidate_user_forces_recompute(self, tiny_dataset):
         cached, inner = self.wrap(tiny_dataset)
@@ -124,7 +122,7 @@ class TestCachedRecommender:
         cached.invalidate_user("alice")
         cached.recommend("alice", n=3)  # recomputed
         cached.recommend("bob", n=3)  # still cached
-        assert inner.recommend_calls == 3
+        assert inner.pool_calls == 3
 
     def test_attribute_access_forwards_to_inner(self, tiny_dataset):
         cached, inner = self.wrap(tiny_dataset)
@@ -210,12 +208,12 @@ class TestWireInvalidation:
 
         stale = cached.recommend("alice", n=3)
         assert cached.recommend("alice", n=3) == stale
-        assert inner.recommend_calls == 1
+        assert inner.pool_calls == 1
 
         channel.rate("alice", "i3", 5.0)  # the user corrects the system
 
         fresh = cached.recommend("alice", n=3)
-        assert inner.recommend_calls == 2
+        assert inner.pool_calls == 2
         # i3 is now rated, so it left the candidate pool: the fresh
         # answer is visibly different from the stale one.
         assert "i3" not in [item.item_id for item in fresh]
@@ -230,7 +228,7 @@ class TestWireInvalidation:
         cached.recommend("alice", n=3)
         profile.volunteer("genre", "scifi")
         cached.recommend("alice", n=3)
-        assert inner.recommend_calls == 2
+        assert inner.pool_calls == 2
 
     def test_critique_session_invalidates(self, camera_world):
         from repro.interaction.critiques import UnitCritique

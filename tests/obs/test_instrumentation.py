@@ -41,27 +41,30 @@ def tiny_dataset():
 class TestSubstrateMetrics:
     def test_predict_counted_per_substrate(self, tiny_dataset):
         recommender = _AlwaysThree().fit(tiny_dataset)
-        recommender.predict("alice", "i2")
-        recommender.predict("alice", "i3")
-        counter = obs.get_registry().get("repro_predictions_total")
+        recommender.predict_many("alice", ["i2", "i3"])
+        registry = obs.get_registry()
+        counter = registry.get("repro_predictions_total")
         assert counter.labels(substrate="_AlwaysThree").value == 2
+        seconds = registry.get("repro_predict_seconds")
+        assert seconds.labels(substrate="_AlwaysThree").count == 1
 
     def test_predict_failures_counted(self, tiny_dataset):
         recommender = _Impossible().fit(tiny_dataset)
-        with pytest.raises(PredictionImpossibleError):
-            recommender.predict("alice", "i2")
+        predictions = recommender.predict_many("alice", ["i2"])
+        assert predictions[0].confidence == 0.0
         failures = obs.get_registry().get("repro_prediction_failures_total")
         assert failures.labels(substrate="_Impossible").value == 1
         assert obs.get_registry().get("repro_predictions_total") is None
 
-    def test_predict_wrapped_exactly_once_in_subclasses(self, tiny_dataset):
+    def test_pass_counted_once_under_the_subclass(self, tiny_dataset):
         class Child(_AlwaysThree):
             pass
 
         recommender = Child().fit(tiny_dataset)
-        recommender.predict("alice", "i2")
+        recommender.recommend("alice", n=2)
         counter = obs.get_registry().get("repro_predictions_total")
-        assert counter.labels(substrate="Child").value == 1
+        assert counter.labels(substrate="Child").value == 2
+        assert counter.value == 2
 
     def test_fit_and_recommend_timed(self, tiny_dataset):
         recommender = _AlwaysThree().fit(tiny_dataset)

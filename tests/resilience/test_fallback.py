@@ -156,6 +156,17 @@ class TestResilientRecommender:
         assert prediction.confidence == 0.0
         assert wrapped.degrade_on == DEGRADABLE_ERRORS
 
+    def test_failed_pool_pass_degrades_the_whole_list(self, movie_world):
+        flaky = FlakyRecommender(failures=10**9).fit(movie_world.dataset)
+        wrapped = ResilientRecommender(
+            flaky, retry=Retry(max_attempts=2, base_delay=0.0)
+        )
+        recommendations = wrapped.recommend("user_000", n=5)
+        assert len(recommendations) == 5
+        assert all(r.confidence == 0.0 for r in recommendations)
+        # Retries act per pool pass: one call per attempt, not per item.
+        assert flaky.calls == 2
+
     def test_protected_methods_guarded_through_forwarding(self, camera_world):
         from repro.recsys import KnowledgeBasedRecommender, UserRequirements
 
@@ -231,6 +242,26 @@ class TestFallbackChain:
         assert counter.labels(
             substrate="UserBasedCF", reason="NotFittedError"
         ).value == 1
+
+    def test_each_column_cites_the_component_that_scored_it(
+        self, movie_world
+    ):
+        dataset = movie_world.dataset
+        chain = FallbackChain(
+            [UserBasedCF(), PopularityRecommender()]
+        ).fit(dataset)
+        primary, fill = chain.components
+        items = list(dataset.items)
+        sources = set()
+        for user_id in dataset.users:
+            cited = chain.predict_many(user_id, items)
+            first = primary.predict_many(user_id, items)
+            second = fill.predict_many(user_id, items)
+            for got, mine, filled in zip(cited, first, second):
+                source = "primary" if mine.evidence else "fill"
+                sources.add(source)
+                assert got == (mine if mine.evidence else filled)
+        assert sources == {"primary", "fill"}
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
