@@ -2,8 +2,8 @@
 
 Second layer of the dataflow pipeline (symbol table → **call graph** →
 CFG → solver → rules).  Edges are resolved by *terminal name*: a call
-``self._neighborhood.neighbors(...)`` inside function F adds an edge
-from F to every analyzed function named ``neighbors`` — the same
+``self._similarities(...)`` inside function F adds an edge from F to
+every analyzed function named ``_similarities`` — the same
 deliberately conservative contract the RR006 lock-ordering analyzer
 pioneered (see :mod:`repro.analysis.symbols` for the generic-name
 blocklist that keeps stdlib collisions out).

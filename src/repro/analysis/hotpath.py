@@ -86,7 +86,7 @@ class HotPathVectorizationRule(Rule):
         "batch the computation: precompute a contiguous matrix once, "
         "score all entities in one vectorized pass, and hoist "
         "allocations out of the per-call path (see "
-        "repro.recsys.similarity pearson_batch/cosine_batch)"
+        "repro.recsys.similarity.pearson_batch)"
     )
     project_rule = True
 

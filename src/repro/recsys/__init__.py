@@ -3,8 +3,8 @@
 The paper classifies explanation styles by the knowledge source behind
 them (content-based, collaborative-based, preference-based — Section 6);
 this package implements one substrate per source plus the shared data
-model, similarity measures, accuracy/beyond-accuracy metrics and
-Ziegler-style diversification.
+model, the user-CF similarity kernel, accuracy/beyond-accuracy metrics
+and Ziegler-style diversification.
 """
 
 from repro.recsys.base import (
@@ -63,7 +63,6 @@ from repro.recsys.io import (
     save_dataset,
 )
 from repro.recsys.naive_bayes import NaiveBayesRecommender
-from repro.recsys.neighbors import ItemNeighborhood, Neighbor, UserNeighborhood
 from repro.recsys.popularity import PopularityRecommender
 from repro.recsys.svd import SVDRecommender
 
@@ -113,9 +112,6 @@ __all__ = [
     "dataset_from_dict",
     "save_dataset",
     "load_dataset",
-    "UserNeighborhood",
-    "ItemNeighborhood",
-    "Neighbor",
     # knowledge-based vocabulary
     "AttributeSpec",
     "Catalog",

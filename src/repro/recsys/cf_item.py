@@ -28,7 +28,6 @@ import numpy as np
 from repro.recsys.base import Evidence, SimilarItemEvidence
 from repro.recsys.data import Dataset, RatingMatrix
 from repro.recsys.engine import PoolScores, VectorRecommender
-from repro.recsys.neighbors import ItemNeighborhood
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.eventlog.events import InteractionEvent
@@ -47,10 +46,8 @@ class ItemBasedCF(VectorRecommender):
     """Item-kNN with adjusted-cosine similarities.
 
     Parameters mirror :class:`~repro.recsys.cf_user.UserBasedCF`, but the
-    neighbourhood is over items the target user has already rated.
-    ``neighbor_index_size`` optionally prunes each item's similarity row
-    to its strongest entries (an explicit accuracy/speed trade);
-    ``None`` keeps the index exact.
+    neighbourhood is over items the target user has already rated, and
+    the similarity index is always exact.
     """
 
     def __init__(
@@ -59,52 +56,26 @@ class ItemBasedCF(VectorRecommender):
         min_overlap: int = 2,
         significance_gamma: int = 8,
         confidence_gamma: int = 8,
-        neighbor_index_size: int | None = None,
     ) -> None:
         super().__init__()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if neighbor_index_size is not None and neighbor_index_size < 1:
-            raise ValueError(
-                f"neighbor_index_size must be >= 1, got {neighbor_index_size}"
-            )
         self.k = k
         self.min_overlap = min_overlap
         self.significance_gamma = significance_gamma
         self.confidence_gamma = max(1, confidence_gamma)
-        self.neighbor_index_size = neighbor_index_size
-        self._neighborhood: ItemNeighborhood | None = None
         self._sims: np.ndarray | None = None
         self._counts: np.ndarray | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def _fit(self, dataset: Dataset) -> None:
-        self._neighborhood = None
         self._sims = None
         self._counts = None
 
     def _on_matrix_change(self, matrix: RatingMatrix) -> None:
         self._sims = None
         self._counts = None
-
-    @property
-    def neighborhood(self) -> ItemNeighborhood:
-        """A lazily built scalar neighbourhood over the fitted dataset.
-
-        Kept for API compatibility with pre-vectorization callers; the
-        scoring path no longer goes through it.
-        """
-        dataset = self.dataset
-        if self._neighborhood is None or (
-            self._neighborhood.dataset is not dataset
-        ):
-            self._neighborhood = ItemNeighborhood(
-                dataset,
-                min_overlap=self.min_overlap,
-                significance_gamma=self.significance_gamma,
-            )
-        return self._neighborhood
 
     def absorb(self, event: "InteractionEvent") -> bool:
         """Consume one rating event incrementally — no full refit.
@@ -117,15 +88,7 @@ class ItemBasedCF(VectorRecommender):
         """
         if not self.is_fitted:
             return False
-        if event.kind not in _RATING_KINDS:
-            return False
-        if self._neighborhood is not None:
-            extra = [item for item in (event.item_id,) if item is not None]
-            extra.extend(event.ratings)
-            self._neighborhood.invalidate_user(
-                event.user_id, extra_items=extra
-            )
-        return True
+        return event.kind in _RATING_KINDS
 
     # -- similarity index --------------------------------------------------
 
@@ -142,9 +105,7 @@ class ItemBasedCF(VectorRecommender):
         * ``counts = Mᵀ M`` over the rated-mask ``M``.
 
         Minimum-overlap zeroing and Herlocker significance weighting are
-        applied exactly as in the scalar path; optional
-        ``neighbor_index_size`` pruning zeroes all but each row's
-        strongest entries.
+        applied as user-CF applies them to its neighbour rows.
         """
         matrix = self._matrix()
         if self._sims is not None and self._counts is not None:
@@ -179,11 +140,6 @@ class ItemBasedCF(VectorRecommender):
                 / self.significance_gamma
             )
         np.fill_diagonal(sims, 0.0)
-        limit = self.neighbor_index_size
-        if limit is not None and m > limit:
-            order = np.argsort(-sims, axis=1, kind="stable")
-            cut = order[:, limit:]
-            np.put_along_axis(sims, cut, 0.0, axis=1)
         self._sims = sims
         self._counts = overlaps
         return sims, overlaps

@@ -9,7 +9,7 @@ users rated the item and how.
 The implementation runs on the vectorized engine
 (:class:`~repro.recsys.engine.VectorRecommender`): a target user's
 similarities to every overlapping candidate are computed in one masked
-``pearson_batch``/``cosine_batch`` pass against the
+:func:`~repro.recsys.similarity.pearson_batch` pass against the
 :class:`~repro.recsys.data.RatingMatrix` snapshot, and the
 positive-weight neighbours with their weights are cached as that user's
 neighbour row; a whole candidate-item pool is then scored with
@@ -21,6 +21,7 @@ path bit for bit — the parity suite in
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,8 +33,7 @@ from repro.recsys.base import (
 )
 from repro.recsys.data import Dataset, RatingMatrix
 from repro.recsys.engine import PoolScores, VectorRecommender, top_k_segments
-from repro.recsys.neighbors import UserNeighborhood
-from repro.recsys.similarity import BATCH_MEASURES
+from repro.recsys.similarity import pearson_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.eventlog.events import InteractionEvent
@@ -55,8 +55,6 @@ class UserBasedCF(VectorRecommender):
     ----------
     k:
         Neighbourhood size.
-    measure:
-        ``"pearson"`` (default) or ``"cosine"``.
     min_overlap:
         Minimum co-rated items for a neighbour to count.
     significance_gamma:
@@ -74,7 +72,6 @@ class UserBasedCF(VectorRecommender):
     def __init__(
         self,
         k: int = 20,
-        measure: str = "pearson",
         min_overlap: int = 2,
         significance_gamma: int = 10,
         confidence_gamma: int = 10,
@@ -83,53 +80,28 @@ class UserBasedCF(VectorRecommender):
         super().__init__()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if measure not in BATCH_MEASURES:
-            raise ValueError(
-                f"unknown similarity measure {measure!r}; "
-                f"choose from {sorted(BATCH_MEASURES)}"
-            )
         if neighbor_index_size is not None and neighbor_index_size < 1:
             raise ValueError(
                 f"neighbor_index_size must be >= 1, got {neighbor_index_size}"
             )
         self.k = k
-        self.measure = measure
-        self.batch_measure = BATCH_MEASURES[measure]
         self.min_overlap = min_overlap
         self.significance_gamma = significance_gamma
         self.confidence_gamma = max(1, confidence_gamma)
         self.neighbor_index_size = neighbor_index_size
-        self._neighborhood: UserNeighborhood | None = None
         #: Per user row: sorted positive-weight neighbour rows, weights.
         self._index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: Serialises evictions and inserts into ``_index``; concurrent
+        #: readers of one model share it.
+        self._index_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
     def _fit(self, dataset: Dataset) -> None:
-        self._neighborhood = None
         self._index = {}
 
     def _on_matrix_change(self, matrix: RatingMatrix) -> None:
         self._index = {}
-
-    @property
-    def neighborhood(self) -> UserNeighborhood:
-        """A lazily built scalar neighbourhood over the fitted dataset.
-
-        Kept for API compatibility with pre-vectorization callers; the
-        scoring path no longer goes through it.
-        """
-        dataset = self.dataset
-        if self._neighborhood is None or (
-            self._neighborhood.dataset is not dataset
-        ):
-            self._neighborhood = UserNeighborhood(
-                dataset,
-                measure=self.measure,
-                min_overlap=self.min_overlap,
-                significance_gamma=self.significance_gamma,
-            )
-        return self._neighborhood
 
     def absorb(self, event: "InteractionEvent") -> bool:
         """Consume one rating event incrementally — no full refit.
@@ -144,11 +116,7 @@ class UserBasedCF(VectorRecommender):
         """
         if not self.is_fitted:
             return False
-        if event.kind not in _RATING_KINDS:
-            return False
-        if self._neighborhood is not None:
-            self._neighborhood.invalidate_user(event.user_id)
-        return True
+        return event.kind in _RATING_KINDS
 
     # -- neighbor index ----------------------------------------------------
 
@@ -200,7 +168,7 @@ class UserBasedCF(VectorRecommender):
             cand = cand[cand != row]
         if cand.size:
             cand_values, cand_mask = matrix.columns_dense(ucols, rows=cand)
-            sims, overlaps = self.batch_measure(
+            sims, overlaps = pearson_batch(
                 matrix.user_vals(row), cand_values, cand_mask
             )
             weighted = np.where(overlaps >= self.min_overlap, sims, 0.0)
@@ -221,17 +189,22 @@ class UserBasedCF(VectorRecommender):
         """The user's positive-weight neighbour rows and weights, cached.
 
         Only what the scorer reads is kept: the rows come back sorted,
-        and on sparse worlds they are a small share of all users.
+        and on sparse worlds they are a small share of all users.  The
+        cache is bound once per call, and eviction and insert run under
+        a lock so concurrent readers never iterate a dict another one
+        is resizing; the similarity pass itself runs unlocked.
         """
-        cached = self._index.get(row)
+        index = self._index
+        cached = index.get(row)
         if cached is not None:
             return cached
         cand, weighted, _overlaps = self._similarities(row, matrix)
         positive = weighted > 0.0
         result = (cand[positive], weighted[positive])
-        while len(self._index) >= _SIM_CACHE_LIMIT:
-            self._index.pop(next(iter(self._index)))
-        self._index[row] = result
+        with self._index_lock:
+            while len(index) >= _SIM_CACHE_LIMIT:
+                index.pop(next(iter(index)))
+            index[row] = result
         return result
 
     # -- engine hooks ------------------------------------------------------

@@ -287,12 +287,6 @@ class RatingMatrix:
         """Values item ``col`` received, aligned with :meth:`item_rows`."""
         return self.i_vals[self.i_indptr[col]:self.i_indptr[col + 1]]
 
-    def rated_flags(self, row: int) -> np.ndarray:
-        """Boolean membership vector over items for one user row."""
-        flags = np.full(self.n_items, False)
-        flags[self.user_cols(row)] = True
-        return flags
-
     # -- batched gathers --------------------------------------------------
 
     @staticmethod

@@ -62,9 +62,6 @@ class PopularityRecommender(VectorRecommender):
                 1e-12,
             )
 
-    def _recency_score(self, recency: float) -> float:
-        return (recency - self._recency_low) / self._recency_span
-
     def _item_totals(self, matrix: RatingMatrix) -> np.ndarray:
         """Per-item rating-value totals via one segmented reduction.
 

@@ -1,184 +1,36 @@
-"""Similarity measures shared by the collaborative and content substrates.
+"""The similarity kernel behind user-based collaborative filtering.
 
-All pairwise measures operate on two aligned numpy vectors of co-rated
-values and return a float in [-1, 1] (or [0, 1] for the set measures).
-``significance_weight`` implements the Herlocker-style devaluation of
-similarities computed on few co-rated items.
-
-The paper's future-work section calls for "similarity measures which are
-easily understood by users"; :func:`describe_similarity` renders any
-measure's result as a short user-facing phrase, which the preference-based
-explainers reuse.
+:func:`pearson_batch` scores one user against every candidate in a
+single masked pass.  :class:`~repro.recsys.cf_user.UserBasedCF` applies
+minimum-overlap zeroing and Herlocker significance weighting on top of
+it, and the loop-shaped parity references call the same kernel, so the
+neighbours an explanation cites are the ones that scored the item.
+Item-based CF builds its adjusted-cosine index in
+:meth:`~repro.recsys.cf_item.ItemBasedCF.similarity_index`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
-
 import numpy as np
 
-__all__ = [
-    "pearson",
-    "cosine",
-    "adjusted_cosine",
-    "jaccard",
-    "mean_squared_difference",
-    "significance_weight",
-    "attribute_similarity",
-    "describe_similarity",
-    "pearson_batch",
-    "cosine_batch",
-    "adjusted_cosine_batch",
-    "SIMILARITY_MEASURES",
-    "BATCH_MEASURES",
-]
+__all__ = ["pearson_batch"]
 
 _EPSILON = 1e-12
 
 
-def _as_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation of two co-rated vectors; 0.0 when degenerate.
-
-    Degenerate cases (fewer than two points, zero variance on either side)
-    return 0.0 rather than ``nan`` so neighbourhood code can treat "no
-    information" as "no similarity".
-    """
-    a, b = _as_arrays(a, b)
-    if a.size < 2:
-        return 0.0
-    a_centered = a - a.mean()
-    b_centered = b - b.mean()
-    denominator = np.linalg.norm(a_centered) * np.linalg.norm(b_centered)
-    if denominator < _EPSILON:
-        return 0.0
-    return float(np.clip(np.dot(a_centered, b_centered) / denominator, -1.0, 1.0))
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors; 0.0 for zero vectors."""
-    a, b = _as_arrays(a, b)
-    denominator = np.linalg.norm(a) * np.linalg.norm(b)
-    if denominator < _EPSILON:
-        return 0.0
-    return float(np.clip(np.dot(a, b) / denominator, -1.0, 1.0))
-
-
-def adjusted_cosine(
-    a: np.ndarray, b: np.ndarray, user_means: np.ndarray
-) -> float:
-    """Adjusted cosine for item-item CF: ratings centred per *user*.
-
-    ``a`` and ``b`` are the two items' ratings from the same users, and
-    ``user_means`` the corresponding users' mean ratings.
-    """
-    a, b = _as_arrays(a, b)
-    means = np.asarray(user_means, dtype=float)
-    if means.shape != a.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs means {means.shape}")
-    return cosine(a - means, b - means)
-
-
-def jaccard(set_a: frozenset | set, set_b: frozenset | set) -> float:
-    """Jaccard overlap of two sets in [0, 1]; 0.0 when both are empty."""
-    if not set_a and not set_b:
-        return 0.0
-    return len(set_a & set_b) / len(set_a | set_b)
-
-
-def mean_squared_difference(
-    a: np.ndarray, b: np.ndarray, span: float = 4.0
-) -> float:
-    """Similarity derived from mean squared rating difference, in [0, 1].
-
-    ``span`` is the rating-scale width used to normalise the difference.
-    """
-    a, b = _as_arrays(a, b)
-    if a.size == 0:
-        return 0.0
-    msd = float(np.mean((a - b) ** 2))
-    return max(0.0, 1.0 - msd / (span * span))
-
-
-def significance_weight(n_corated: int, gamma: int = 50) -> float:
-    """Devalue similarities based on few co-rated items (Herlocker 1999).
-
-    Returns ``min(n, gamma) / gamma`` in [0, 1].
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return min(n_corated, gamma) / gamma
-
-
-def attribute_similarity(
-    a: Mapping[str, object],
-    b: Mapping[str, object],
-    numeric_ranges: Mapping[str, tuple[float, float]] | None = None,
-    weights: Mapping[str, float] | None = None,
-) -> float:
-    """Weighted similarity of two structured attribute records in [0, 1].
-
-    Numeric attributes compare by normalised distance over the supplied
-    range; all other attributes compare by equality.  Attributes appearing
-    in only one record contribute zero similarity.
-    """
-    keys = set(a) | set(b)
-    if not keys:
-        return 0.0
-    numeric_ranges = numeric_ranges or {}
-    weights = weights or {}
-    total_weight = 0.0
-    score = 0.0
-    for key in keys:
-        weight = float(weights.get(key, 1.0))
-        total_weight += weight
-        if key not in a or key not in b:
-            continue
-        value_a, value_b = a[key], b[key]
-        if key in numeric_ranges:
-            low, high = numeric_ranges[key]
-            span = max(high - low, _EPSILON)
-            distance = abs(float(value_a) - float(value_b)) / span  # type: ignore[arg-type]
-            score += weight * max(0.0, 1.0 - distance)
-        else:
-            score += weight * (1.0 if value_a == value_b else 0.0)
-    if total_weight < _EPSILON:
-        return 0.0
-    return score / total_weight
-
-
-def describe_similarity(value: float) -> str:
-    """Render a similarity value as a short user-facing phrase.
-
-    This supports the paper's future-work goal of similarity measures
-    "easily understood by users": explainers embed these phrases instead
-    of raw correlation coefficients.
-    """
-    if value >= 0.75:
-        return "has very similar taste to you"
-    if value >= 0.45:
-        return "has broadly similar taste to you"
-    if value >= 0.15:
-        return "has somewhat similar taste to you"
-    if value > -0.15:
-        return "has no clear taste overlap with you"
-    return "tends to disagree with you"
-
-
-def _masked(
+def pearson_batch(
     target: np.ndarray, matrix: np.ndarray, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate shapes; returns masked target rows, matrix, and counts."""
-    target = np.asarray(target, dtype=float)
-    matrix = np.asarray(matrix, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise masked Pearson of one target against ``k`` candidates.
+
+    ``target`` is the anchor entity's float values over its rated axis
+    (shape ``(m,)``); ``matrix`` holds each candidate's float values in
+    the same column order (shape ``(k, m)``), valid only where the
+    boolean ``mask`` is true.  Returns ``(similarities, overlaps)`` of
+    shape ``(k,)``.  Rows with fewer than two co-rated columns, or zero
+    variance on either side, score 0.0 rather than ``nan``, so "no
+    information" reads as "no similarity".
+    """
     if matrix.shape != mask.shape or matrix.ndim != 2:
         raise ValueError(
             f"matrix/mask mismatch: {matrix.shape} vs {mask.shape}"
@@ -191,24 +43,6 @@ def _masked(
     counts = mask.sum(axis=1)
     rows = np.where(mask, target[None, :], 0.0)
     values = np.where(mask, matrix, 0.0)
-    return rows, values, counts
-
-
-def pearson_batch(
-    target: np.ndarray, matrix: np.ndarray, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise masked Pearson of one target against ``k`` candidates.
-
-    ``target`` is the anchor entity's values over its rated axis
-    (shape ``(m,)``); ``matrix`` holds each candidate's values in the
-    same column order (shape ``(k, m)``), valid only where ``mask`` is
-    true.  Returns ``(similarities, overlaps)`` of shape ``(k,)`` —
-    one vectorized pass in place of ``k`` per-pair gather/allocate/
-    correlate round-trips.  Rows with fewer than two co-rated columns,
-    or zero variance on either side, score 0.0, matching
-    :func:`pearson`'s degenerate cases.
-    """
-    rows, values, counts = _masked(target, matrix, mask)
     n = np.maximum(counts, 1)
     row_centered = np.where(
         mask, rows - (rows.sum(axis=1) / n)[:, None], 0.0
@@ -225,74 +59,3 @@ def pearson_batch(
         valid, numerator / np.where(valid, denominator, 1.0), 0.0
     )
     return np.clip(similarities, -1.0, 1.0), counts
-
-
-def cosine_batch(
-    target: np.ndarray, matrix: np.ndarray, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise masked cosine of one target against ``k`` candidates.
-
-    Same layout as :func:`pearson_batch`; zero-norm rows score 0.0,
-    matching :func:`cosine`.
-    """
-    rows, values, counts = _masked(target, matrix, mask)
-    numerator = (rows * values).sum(axis=1)
-    denominator = np.sqrt((rows**2).sum(axis=1)) * np.sqrt(
-        (values**2).sum(axis=1)
-    )
-    valid = denominator >= _EPSILON
-    similarities = np.where(
-        valid, numerator / np.where(valid, denominator, 1.0), 0.0
-    )
-    return np.clip(similarities, -1.0, 1.0), counts
-
-
-def adjusted_cosine_batch(
-    target: np.ndarray,
-    matrix: np.ndarray,
-    mask: np.ndarray,
-    user_means: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise masked adjusted cosine of one item against ``k`` items.
-
-    Item-item layout: columns are *users* and ``user_means`` carries
-    each column-user's mean rating, subtracted from both sides wherever
-    either side is valid (matching :func:`adjusted_cosine`, which
-    centres both items' ratings by the shared rater's mean).  The
-    target's own mask is the non-zero pattern implied by ``mask`` row
-    intersections being handled by the caller: a column only
-    contributes where ``mask`` is true AND the target actually rated it,
-    so callers pass ``mask`` already restricted to the target's raters.
-    Degenerate rows (zero norm on either side) score 0.0.
-    """
-    rows, values, counts = _masked(target, matrix, mask)
-    means = np.asarray(user_means, dtype=float)
-    if means.shape != (matrix.shape[1],):
-        raise ValueError(
-            f"user_means {means.shape} does not align with matrix "
-            f"{np.asarray(matrix).shape}"
-        )
-    row_centered = np.where(mask, rows - means[None, :], 0.0)
-    value_centered = np.where(mask, values - means[None, :], 0.0)
-    numerator = (row_centered * value_centered).sum(axis=1)
-    denominator = np.sqrt((row_centered**2).sum(axis=1)) * np.sqrt(
-        (value_centered**2).sum(axis=1)
-    )
-    valid = denominator >= _EPSILON
-    similarities = np.where(
-        valid, numerator / np.where(valid, denominator, 1.0), 0.0
-    )
-    return np.clip(similarities, -1.0, 1.0), counts
-
-
-SIMILARITY_MEASURES: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
-    "pearson": pearson,
-    "cosine": cosine,
-}
-"""Named vector measures accepted by the CF recommenders."""
-
-BATCH_MEASURES: dict[str, Callable[..., tuple[np.ndarray, np.ndarray]]] = {
-    "pearson": pearson_batch,
-    "cosine": cosine_batch,
-}
-"""Batched counterparts of :data:`SIMILARITY_MEASURES`, same keys."""

@@ -62,10 +62,6 @@ class SVDRecommender(VectorRecommender):
     ----------
     n_factors:
         Latent dimensionality.
-    n_epochs, learning_rate:
-        Accepted for backward compatibility with the stochastic-gradient
-        trainer this model replaced; the spectral solver does not iterate
-        over ratings, so they no longer affect the fit.
     regularization:
         Ridge strength for folding in new or changed users.
     n_evidence_items:
@@ -77,8 +73,6 @@ class SVDRecommender(VectorRecommender):
     def __init__(
         self,
         n_factors: int = 12,
-        n_epochs: int = 40,
-        learning_rate: float = 0.01,
         regularization: float = 0.05,
         n_evidence_items: int = 3,
         seed: int = 0,
@@ -86,11 +80,7 @@ class SVDRecommender(VectorRecommender):
         super().__init__()
         if n_factors < 1:
             raise ValueError(f"n_factors must be >= 1, got {n_factors}")
-        if n_epochs < 1:
-            raise ValueError(f"n_epochs must be >= 1, got {n_epochs}")
         self.n_factors = n_factors
-        self.n_epochs = n_epochs
-        self.learning_rate = learning_rate
         self.regularization = regularization
         self.n_evidence_items = n_evidence_items
         self.seed = seed

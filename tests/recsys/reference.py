@@ -25,6 +25,7 @@ from repro.recsys.base import (
     SimilarItemEvidence,
 )
 from repro.recsys.naive_bayes import log_odds_terms
+from repro.recsys.similarity import pearson_batch
 
 #: Sentinel distinguishing "no personalised prediction" from a score.
 IMPOSSIBLE = object()
@@ -33,8 +34,8 @@ IMPOSSIBLE = object()
 def user_cf_weights(rec, user_id):
     """Per-candidate weighted similarities, one batch-kernel call each.
 
-    Loops over every other user, running the configured batch measure on
-    a single-candidate dense slab — the same kernel the neighbor index
+    Loops over every other user, running :func:`pearson_batch` on a
+    single-candidate dense slab — the same kernel the neighbor index
     runs once over all candidates — then applies overlap gating,
     significance weighting and optional index pruning step by step.
     """
@@ -60,7 +61,7 @@ def user_cf_weights(rec, user_id):
         values, mask = matrix.columns_dense(
             ucols, rows=np.array([other])
         )
-        sims, counts = rec.batch_measure(target_vals, values, mask)
+        sims, counts = pearson_batch(target_vals, values, mask)
         sim, count = float(sims[0]), int(counts[0])
         weight = sim if count >= rec.min_overlap else 0.0
         if rec.significance_gamma > 0:

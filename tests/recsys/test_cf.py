@@ -12,50 +12,65 @@ from repro.errors import (
 from repro.recsys.base import NeighborRatingsEvidence, SimilarItemEvidence
 from repro.recsys.cf_item import ItemBasedCF
 from repro.recsys.cf_user import UserBasedCF
-from repro.recsys.neighbors import ItemNeighborhood, UserNeighborhood
+
+
+def user_weights(dataset, user_id, **params):
+    """``{other_user: (weight, overlap)}`` from a user's neighbor index."""
+    model = UserBasedCF(**params).fit(dataset)
+    weights, overlaps = model.neighbor_index(user_id)
+    rows = dataset.rating_matrix().row_of
+    return {
+        other: (float(weights[row]), int(overlaps[row]))
+        for other, row in rows.items()
+    }
+
+
+def item_similarity(dataset, item_a, item_b, **params):
+    """``(similarity, co_raters)`` of two items in the item-item index."""
+    sims, overlaps = ItemBasedCF(**params).fit(dataset).similarity_index()
+    cols = dataset.rating_matrix().col_of
+    a, b = cols[item_a], cols[item_b]
+    return float(sims[a, b]), int(overlaps[a, b])
 
 
 class TestUserNeighborhood:
     def test_agreeing_users_are_similar(self, tiny_dataset):
-        neighborhood = UserNeighborhood(tiny_dataset, significance_gamma=0)
-        similarity, overlap = neighborhood.similarity("alice", "bob")
-        assert similarity > 0.9
-        assert overlap == 3
+        weights = user_weights(tiny_dataset, "alice", significance_gamma=0)
+        assert weights["bob"] == (pytest.approx(1.0), 3)
 
     def test_disagreeing_users_are_dissimilar(self, tiny_dataset):
-        neighborhood = UserNeighborhood(tiny_dataset, significance_gamma=0)
-        similarity, __ = neighborhood.similarity("alice", "carol")
-        assert similarity < -0.9
+        weights = user_weights(tiny_dataset, "alice", significance_gamma=0)
+        assert weights["carol"] == (pytest.approx(-1.0), 3)
 
     def test_insufficient_overlap_is_zero(self, tiny_dataset):
-        neighborhood = UserNeighborhood(tiny_dataset, min_overlap=4)
-        similarity, overlap = neighborhood.similarity("alice", "bob")
-        assert similarity == 0.0
-        assert overlap == 3
+        weights = user_weights(tiny_dataset, "alice", min_overlap=4)
+        assert weights["bob"][0] == 0.0
 
     def test_neighbors_exclude_self_and_negatives(self, tiny_dataset):
-        neighborhood = UserNeighborhood(tiny_dataset, significance_gamma=0)
-        neighbors = neighborhood.neighbors("alice", k=10)
-        ids = [neighbor.neighbor_id for neighbor in neighbors]
-        assert "alice" not in ids
-        assert "carol" not in ids  # negative correlation filtered
-        assert "bob" in ids
+        weights = user_weights(tiny_dataset, "alice", significance_gamma=0)
+        assert weights["alice"] == (0.0, 0)
+        positive = {uid for uid, (weight, _) in weights.items() if weight > 0}
+        assert positive == {"bob"}  # carol's negative correlation filtered
 
     def test_item_restriction(self, tiny_dataset):
-        neighborhood = UserNeighborhood(tiny_dataset, significance_gamma=0)
-        neighbors = neighborhood.neighbors("alice", k=10, item_id="i5")
+        recommender = UserBasedCF(significance_gamma=0).fit(tiny_dataset)
+        prediction = recommender.predict("alice", "i5")
         # only bob and carol rated i5; carol is negative.
-        assert [n.neighbor_id for n in neighbors] == ["bob"]
-
-    def test_unknown_measure_rejected(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            UserNeighborhood(tiny_dataset, measure="nonsense")
+        (evidence,) = prediction.evidence
+        assert [n.user_id for n in evidence.neighbors] == ["bob"]
 
     def test_cache_symmetry(self, tiny_dataset):
-        neighborhood = UserNeighborhood(tiny_dataset, significance_gamma=0)
-        ab = neighborhood.similarity("alice", "bob")
-        ba = neighborhood.similarity("bob", "alice")
-        assert ab == ba
+        users = list(tiny_dataset.users)
+        index = {
+            uid: user_weights(tiny_dataset, uid, significance_gamma=0)
+            for uid in users
+        }
+        for a in users:
+            for b in users:
+                assert index[a][b] == (
+                    pytest.approx(index[b][a][0]),
+                    index[b][a][1],
+                )
 
 
 class TestUserBasedCF:
@@ -160,20 +175,23 @@ class TestUserBasedCF:
 
 class TestItemNeighborhood:
     def test_corated_items_similar(self, tiny_dataset):
-        neighborhood = ItemNeighborhood(tiny_dataset, significance_gamma=0)
-        similarity, overlap = neighborhood.similarity("i1", "i2")
+        similarity, overlap = item_similarity(
+            tiny_dataset, "i1", "i2", significance_gamma=0
+        )
         assert overlap == 4
-        assert similarity > 0.5
+        assert similarity == pytest.approx(0.999, abs=1e-3)
 
     def test_opposed_items_dissimilar(self, tiny_dataset):
-        neighborhood = ItemNeighborhood(tiny_dataset, significance_gamma=0)
-        similarity, __ = neighborhood.similarity("i1", "i4")
+        similarity, __ = item_similarity(
+            tiny_dataset, "i1", "i4", significance_gamma=0
+        )
         assert similarity < 0.0
 
     def test_rated_by_restriction(self, tiny_dataset):
-        neighborhood = ItemNeighborhood(tiny_dataset, significance_gamma=0)
-        neighbors = neighborhood.neighbors("i5", k=5, rated_by="alice")
-        ids = {n.neighbor_id for n in neighbors}
+        recommender = ItemBasedCF(significance_gamma=0).fit(tiny_dataset)
+        prediction = recommender.predict("alice", "i5")
+        ids = {record.item_id for record in prediction.evidence}
+        assert ids
         assert ids <= {"i1", "i2", "i4"}
 
 

@@ -1,4 +1,4 @@
-"""Unit + property tests for similarity measures."""
+"""Unit + property tests for the user-CF similarity kernel."""
 
 from __future__ import annotations
 
@@ -7,16 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.recsys.similarity import (
-    adjusted_cosine,
-    attribute_similarity,
-    cosine,
-    describe_similarity,
-    jaccard,
-    mean_squared_difference,
-    pearson,
-    significance_weight,
-)
+from repro.recsys.cf_user import UserBasedCF
+from repro.recsys.similarity import pearson_batch
 
 vectors = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False),
@@ -25,157 +17,86 @@ vectors = st.lists(
 )
 
 
+def pearson(a, b, mask=None):
+    """One-row :func:`pearson_batch`: ``(similarity, overlap)`` of a vs b."""
+    target = np.array(a, dtype=float)
+    candidate = np.array([b], dtype=float)
+    if mask is None:
+        mask = np.full(candidate.shape, True)
+    else:
+        mask = np.array([mask], dtype=bool)
+    sims, overlaps = pearson_batch(target, candidate, mask)
+    return float(sims[0]), int(overlaps[0])
+
+
+def bob_weight(dataset, **params):
+    """alice's weighted similarity to bob in the user-CF neighbor index."""
+    weights, _ = UserBasedCF(**params).fit(dataset).neighbor_index("alice")
+    return float(weights[dataset.rating_matrix().row_of["bob"]])
+
+
 class TestPearson:
     def test_perfect_positive(self):
-        assert pearson(np.array([1, 2, 3]), np.array([2, 4, 6])) == pytest.approx(1.0)
+        assert pearson([1, 2, 3], [2, 4, 6]) == (pytest.approx(1.0), 3)
 
     def test_perfect_negative(self):
-        assert pearson(np.array([1, 2, 3]), np.array([3, 2, 1])) == pytest.approx(-1.0)
+        assert pearson([1, 2, 3], [3, 2, 1]) == (pytest.approx(-1.0), 3)
 
     def test_zero_variance_returns_zero(self):
-        assert pearson(np.array([2, 2, 2]), np.array([1, 2, 3])) == 0.0
+        assert pearson([2, 2, 2], [1, 2, 3]) == (0.0, 3)
 
     def test_single_point_returns_zero(self):
-        assert pearson(np.array([1.0]), np.array([2.0])) == 0.0
+        assert pearson([1.0, 4.0], [2.0, 5.0], mask=[True, False]) == (
+            0.0,
+            1,
+        )
+
+    def test_masked_columns_not_counted(self):
+        masked = pearson(
+            [1, 2, 3, 9], [2, 4, 6, -50], mask=[True, True, True, False]
+        )
+        assert masked == pearson([1, 2, 3], [2, 4, 6])
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            pearson(np.array([1, 2]), np.array([1, 2, 3]))
+            pearson_batch(
+                np.array([1.0, 2.0]),
+                np.array([[1.0, 2.0, 3.0]]),
+                np.full((1, 3), True),
+            )
+        with pytest.raises(ValueError):
+            pearson_batch(
+                np.array([1.0, 2.0]),
+                np.array([[1.0, 2.0]]),
+                np.full((1, 3), True),
+            )
 
     @given(vectors)
     @settings(max_examples=50)
     def test_self_similarity_nonnegative(self, values):
-        array = np.array(values)
-        assert pearson(array, array) >= 0.0
+        similarity, overlap = pearson(values, values)
+        assert similarity >= 0.0
+        assert overlap == len(values)
 
     @given(vectors, vectors)
     @settings(max_examples=50)
     def test_bounded_and_symmetric(self, a, b):
         size = min(len(a), len(b))
-        array_a, array_b = np.array(a[:size]), np.array(b[:size])
-        value = pearson(array_a, array_b)
+        value, _ = pearson(a[:size], b[:size])
         assert -1.0 <= value <= 1.0
-        assert value == pytest.approx(pearson(array_b, array_a))
-
-
-class TestCosine:
-    def test_parallel(self):
-        assert cosine(np.array([1, 1]), np.array([2, 2])) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine(np.array([1, 0]), np.array([0, 1])) == pytest.approx(0.0)
-
-    def test_zero_vector(self):
-        assert cosine(np.array([0, 0]), np.array([1, 1])) == 0.0
-
-    @given(vectors, vectors)
-    @settings(max_examples=50)
-    def test_bounded(self, a, b):
-        size = min(len(a), len(b))
-        value = cosine(np.array(a[:size]), np.array(b[:size]))
-        assert -1.0 <= value <= 1.0
-
-
-class TestAdjustedCosine:
-    def test_centering_matters(self):
-        # Raw ratings look similar, but user-centred they diverge.
-        a = np.array([5.0, 4.0])
-        b = np.array([5.0, 5.0])
-        means = np.array([5.0, 4.0])
-        centred = adjusted_cosine(a, b, means)
-        raw = cosine(a, b)
-        assert centred != pytest.approx(raw)
-
-    def test_mean_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            adjusted_cosine(np.array([1, 2]), np.array([1, 2]), np.array([1]))
-
-
-class TestJaccard:
-    def test_disjoint(self):
-        assert jaccard({"a"}, {"b"}) == 0.0
-
-    def test_identical(self):
-        assert jaccard({"a", "b"}, {"a", "b"}) == 1.0
-
-    def test_both_empty(self):
-        assert jaccard(set(), set()) == 0.0
-
-    def test_partial(self):
-        assert jaccard({"a", "b"}, {"b", "c"}) == pytest.approx(1 / 3)
-
-
-class TestMsd:
-    def test_identical_vectors(self):
-        assert mean_squared_difference(
-            np.array([1.0, 2.0]), np.array([1.0, 2.0])
-        ) == pytest.approx(1.0)
-
-    def test_empty(self):
-        assert mean_squared_difference(np.array([]), np.array([])) == 0.0
-
-    def test_max_difference(self):
-        value = mean_squared_difference(
-            np.array([1.0]), np.array([5.0]), span=4.0
-        )
-        assert value == pytest.approx(0.0)
+        assert value == pytest.approx(pearson(b[:size], a[:size])[0])
 
 
 class TestSignificanceWeight:
-    def test_below_gamma_scales_linearly(self):
-        assert significance_weight(25, gamma=50) == 0.5
+    """Herlocker devaluation, as user-CF applies it to the kernel's output."""
 
-    def test_at_or_above_gamma_is_one(self):
-        assert significance_weight(50, gamma=50) == 1.0
-        assert significance_weight(500, gamma=50) == 1.0
-
-    def test_invalid_gamma(self):
-        with pytest.raises(ValueError):
-            significance_weight(5, gamma=0)
-
-
-class TestAttributeSimilarity:
-    def test_equal_records(self):
-        record = {"brand": "X", "price": 100.0}
-        value = attribute_similarity(
-            record, record, numeric_ranges={"price": (0, 200)}
+    def test_below_gamma_scales_linearly(self, tiny_dataset):
+        # alice and bob agree perfectly over 3 co-rated items: 3 / 10.
+        assert bob_weight(tiny_dataset, significance_gamma=10) == (
+            pytest.approx(0.3)
         )
-        assert value == pytest.approx(1.0)
 
-    def test_numeric_distance(self):
-        value = attribute_similarity(
-            {"price": 0.0}, {"price": 100.0},
-            numeric_ranges={"price": (0, 200)},
-        )
-        assert value == pytest.approx(0.5)
-
-    def test_categorical_mismatch(self):
-        assert attribute_similarity({"brand": "X"}, {"brand": "Y"}) == 0.0
-
-    def test_missing_attribute_contributes_zero(self):
-        value = attribute_similarity({"a": 1, "b": 1}, {"a": 1})
-        assert value == pytest.approx(0.5)
-
-    def test_weights(self):
-        value = attribute_similarity(
-            {"a": 1, "b": 2}, {"a": 1, "b": 3}, weights={"a": 3.0, "b": 1.0}
-        )
-        assert value == pytest.approx(0.75)
-
-    def test_empty_records(self):
-        assert attribute_similarity({}, {}) == 0.0
-
-
-class TestDescribeSimilarity:
-    @pytest.mark.parametrize(
-        "value, phrase_fragment",
-        [
-            (0.9, "very similar"),
-            (0.5, "broadly similar"),
-            (0.2, "somewhat similar"),
-            (0.0, "no clear"),
-            (-0.5, "disagree"),
-        ],
-    )
-    def test_phrases(self, value, phrase_fragment):
-        assert phrase_fragment in describe_similarity(value)
+    def test_at_or_above_gamma_is_one(self, tiny_dataset):
+        unweighted = bob_weight(tiny_dataset, significance_gamma=0)
+        assert bob_weight(tiny_dataset, significance_gamma=3) == unweighted
+        assert bob_weight(tiny_dataset, significance_gamma=2) == unweighted

@@ -19,17 +19,15 @@ class TestSVD:
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):
             SVDRecommender(n_factors=0)
-        with pytest.raises(ValueError):
-            SVDRecommender(n_epochs=0)
 
     def test_predictions_on_scale(self, movie_world):
-        recommender = SVDRecommender(n_epochs=15).fit(movie_world.dataset)
+        recommender = SVDRecommender().fit(movie_world.dataset)
         for recommendation in recommender.recommend("user_000", n=10):
             assert 1.0 <= recommendation.score <= 5.0
 
     def test_deterministic_under_seed(self, movie_world):
-        a = SVDRecommender(n_epochs=5, seed=3).fit(movie_world.dataset)
-        b = SVDRecommender(n_epochs=5, seed=3).fit(movie_world.dataset)
+        a = SVDRecommender(seed=3).fit(movie_world.dataset)
+        b = SVDRecommender(seed=3).fit(movie_world.dataset)
         item_id = next(iter(movie_world.dataset.items))
         assert a.predict("user_000", item_id).value == pytest.approx(
             b.predict("user_000", item_id).value
@@ -41,7 +39,7 @@ class TestSVD:
         world = make_movies(n_users=80, n_items=60, density=0.4, noise=0.35,
                             seed=7)
         train, test = train_test_split(world.dataset, 0.2)
-        recommender = SVDRecommender(n_epochs=40).fit(train)
+        recommender = SVDRecommender().fit(train)
         global_mean = train.global_mean()
         predicted, baseline, actual = [], [], []
         for rating in test:
@@ -54,7 +52,7 @@ class TestSVD:
         assert mae(predicted, actual) < mae(baseline, actual)
 
     def test_posthoc_latent_evidence(self, movie_world):
-        recommender = SVDRecommender(n_epochs=15).fit(movie_world.dataset)
+        recommender = SVDRecommender().fit(movie_world.dataset)
         item_id = movie_world.dataset.unrated_items("user_000")[0]
         prediction = recommender.predict("user_000", item_id)
         for record in prediction.evidence:
@@ -65,7 +63,7 @@ class TestSVD:
             assert movie_world.dataset.scale.is_positive(rating.value)
 
     def test_latent_similarity_bounded(self, movie_world):
-        recommender = SVDRecommender(n_epochs=10).fit(movie_world.dataset)
+        recommender = SVDRecommender().fit(movie_world.dataset)
         items = list(movie_world.dataset.items)[:5]
         for a in items:
             for b in items:
@@ -74,7 +72,7 @@ class TestSVD:
     def test_user_without_ratings_rejected(self, movie_world):
         dataset = movie_world.dataset.copy()
         dataset.add_user(User("stranger"))
-        recommender = SVDRecommender(n_epochs=5).fit(dataset)
+        recommender = SVDRecommender().fit(dataset)
         with pytest.raises(PredictionImpossibleError):
             recommender.predict("stranger", next(iter(dataset.items)))
 
